@@ -359,9 +359,10 @@ func BenchmarkFig11CBRvsPoisson(b *testing.B) {
 // BenchmarkCRCGapScheduling prices the §8 gap computation itself.
 func BenchmarkCRCGapScheduling(b *testing.B) {
 	g := rate.NewGapFiller(wire.ByteTime(wire.Speed10G))
+	var fills []int
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g.FillGap(int64(800 + i%1000))
+		fills = g.FillGap(fills[:0], int64(800+i%1000))
 	}
 }
 

@@ -171,8 +171,9 @@ func runGoBench(path, cpuProfile, memProfile string) error {
 
 // gatedBenchmarks are the hot-path benchmarks the -check gate guards:
 // the batched TX/RX datapaths, the event-scheduler core (the timing
-// wheel's schedule/fire loop), and the figure-level scaling runs whose
-// allocation counts the zero-alloc sweep is accountable for.
+// wheel's schedule/fire loop and the process wake/park switch), and
+// the figure-level scaling runs whose allocation counts the zero-alloc
+// sweep is accountable for.
 var gatedBenchmarks = map[string]bool{
 	"BenchmarkTable1PacketIO":        true,
 	"BenchmarkSimulatedLineRate":     true,
@@ -184,6 +185,7 @@ var gatedBenchmarks = map[string]bool{
 	"BenchmarkMulticoreScaling":      true,
 	"BenchmarkCRCGapScheduling":      true,
 	"BenchmarkEngineSchedule":        true,
+	"BenchmarkEngineProcSwitch":      true,
 	"BenchmarkFig2MultiCoreScaling":  true,
 	"BenchmarkFig4Scaling120G":       true,
 	"BenchmarkFlowTrackerMillion":    true,

@@ -133,7 +133,10 @@ func (g *GapTx) Run(t *Task) {
 	rng := t.Engine().Rand()
 	realWire := int64(g.PktSize + proto.FCSLen + proto.WireOverhead)
 
-	var i uint64
+	var (
+		i     uint64
+		fills []int // reused across gaps: FillGap appends into it
+	)
 	for t.Running() {
 		m := s.alloc(g.PktSize)
 		if m == nil {
@@ -150,7 +153,7 @@ func (g *GapTx) Run(t *Task) {
 
 		gapBytes := filler.GapToWireBytes(g.Pattern.NextGap(rng)) - realWire
 		before := filler.Skipped
-		fills := filler.FillGap(gapBytes)
+		fills = filler.FillGap(fills[:0], gapBytes)
 		if delta := filler.Skipped - before; delta > 0 {
 			g.SkippedGaps += delta
 			if s.staged > 0 && s.ba.Bufs[s.staged-1] == m {

@@ -93,6 +93,10 @@ type Forwarder struct {
 	pool *mempool.Pool
 
 	backlog ring.FIFO[queued]
+	// free recycles the byte buffers of serviced and flushed backlog
+	// entries. A buffer is queued, in service or here, so their number
+	// stays bounded by BacklogLimit plus one.
+	free [][]byte
 
 	intsEnabled  bool
 	polling      bool
@@ -168,6 +172,7 @@ func New(eng *sim.Engine, in, out *nic.Port, cfg Config) *Forwarder {
 		q := f.svcQ
 		f.svcQ = queued{}
 		f.forward(q)
+		f.free = append(f.free, q.data)
 		f.pktsThisInt++
 		f.pollRun(f.svcDone + 1)
 	}
@@ -196,9 +201,14 @@ func (f *Forwarder) onFrame(fr *wire.Frame, rxTime sim.Time) bool {
 		return true
 	}
 	// The driver backlog keeps the frame's payload past the deliver
-	// callback, so the frame must escape the link's recycling.
-	fr.Retain()
-	f.backlog.Push(queued{data: fr.Data, arrived: now})
+	// callback, so it is copied into a recycled buffer and the link
+	// keeps recycling its frames.
+	var buf []byte
+	if n := len(f.free); n > 0 {
+		buf = f.free[n-1][:0]
+		f.free = f.free[:n-1]
+	}
+	f.backlog.Push(queued{data: append(buf, fr.Data...), arrived: now})
 	f.maybeInterrupt()
 	return true
 }
@@ -320,9 +330,11 @@ func (f *Forwarder) Restart(flush bool) {
 	f.stalled = false
 	if flush {
 		for {
-			if _, ok := f.backlog.Pop(); !ok {
+			q, ok := f.backlog.Pop()
+			if !ok {
 				break
 			}
+			f.free = append(f.free, q.data)
 			f.Flushed++
 		}
 	}

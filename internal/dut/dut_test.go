@@ -239,3 +239,34 @@ func TestSaturationPPS(t *testing.T) {
 		t.Fatalf("saturation = %.2f Mpps, want just below 2", sat/1e6)
 	}
 }
+
+// TestStallFlushRecyclesBacklog stalls the forwarder under overload and
+// restarts it with a flush: every valid ingress frame is forwarded,
+// tail-dropped or flushed, the flushed backlog buffers are taken back
+// for reuse, and forwarding resumes afterwards.
+func TestStallFlushRecyclesBacklog(t *testing.T) {
+	tb := newTestbed(5, DefaultConfig())
+	var ingress uint64
+	tb.fwd.Spy = func(*wire.Frame, sim.Time) { ingress++ }
+	tb.offerCBR(3e6, 4*sim.Millisecond)
+	tb.eng.Schedule(sim.Time(sim.Millisecond), tb.fwd.Stall)
+	tb.eng.Schedule(sim.Time(2*sim.Millisecond), func() {
+		backlog := tb.fwd.Backlog()
+		tb.fwd.Restart(true)
+		if tb.fwd.Backlog() != 0 || len(tb.fwd.free) < backlog {
+			t.Errorf("after flushing %d frames: backlog %d, %d free buffers", backlog, tb.fwd.Backlog(), len(tb.fwd.free))
+		}
+	})
+	tb.eng.RunAll()
+	f := tb.fwd
+	if f.Flushed == 0 || f.Dropped == 0 {
+		t.Fatalf("flushed=%d dropped=%d: the stall never filled the backlog", f.Flushed, f.Dropped)
+	}
+	if got := f.Forwarded + f.Dropped + f.Flushed + f.TxRingDrops + uint64(f.Backlog()); got != ingress {
+		t.Fatalf("forwarded %d + dropped %d + flushed %d + tx-ring drops %d + backlog %d = %d, want %d ingress frames",
+			f.Forwarded, f.Dropped, f.Flushed, f.TxRingDrops, f.Backlog(), got, ingress)
+	}
+	if last := tb.arrived[len(tb.arrived)-1]; last < sim.Time(3*sim.Millisecond) {
+		t.Fatalf("last sink arrival at %v: forwarding did not resume after the restart", last)
+	}
+}

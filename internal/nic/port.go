@@ -424,8 +424,7 @@ func (p *Port) ReadRxTimestamp() (ts sim.Time, seq uint16, ok bool) {
 // SetDeliverHook installs an interceptor for valid received frames;
 // returning true consumes the frame (skipping queue steering). The DuT
 // model uses this to process packets without the full driver stack.
-// The frame is recycled by the link after the hook returns unless the
-// hook calls Frame.Retain.
+// The frame is recycled by the link after the hook returns.
 func (p *Port) SetDeliverHook(fn func(f *wire.Frame, rxTime sim.Time) bool) {
 	p.onDeliver = fn
 }

@@ -146,40 +146,43 @@ func (g *GapFiller) GapToWireBytes(gap sim.Duration) int64 {
 	return int64(math.Round(float64(gap) / float64(g.ByteTime)))
 }
 
-// FillGap returns the filler wire lengths to emit after a packet so the
-// next packet starts gapBytes of wire time later. A nil result means
-// back-to-back. Unrepresentable remainders go into the debt account.
-func (g *GapFiller) FillGap(gapBytes int64) []int {
+// FillGap appends to dst the filler wire lengths to emit after a packet
+// so the next packet starts gapBytes of wire time later, and returns
+// the extended slice; appending nothing means back-to-back. Callers on
+// the hot path pass their previous result truncated to zero length, so
+// steady-state gaps allocate nothing. Unrepresentable remainders go
+// into the debt account.
+func (g *GapFiller) FillGap(dst []int, gapBytes int64) []int {
 	gapBytes += g.debt
 	g.debt = 0
 	if gapBytes <= 0 {
-		return nil
+		return dst
 	}
 	if gapBytes < int64(g.MinFillerWire) {
 		// Gap too short to represent: skip the filler and lengthen a
 		// later gap instead (§8.4) — high accuracy, lower precision.
 		g.debt = gapBytes
 		g.Skipped++
-		return nil
+		return dst
 	}
-	var out []int
+	n := len(dst)
 	for gapBytes > 0 {
 		switch {
 		case gapBytes <= int64(g.MaxFillerWire):
-			out = append(out, int(gapBytes))
+			dst = append(dst, int(gapBytes))
 			gapBytes = 0
 		case gapBytes < int64(g.MaxFillerWire+g.MinFillerWire):
 			// Avoid an unrepresentable remainder: split evenly.
 			half := int(gapBytes / 2)
-			out = append(out, half, int(gapBytes)-half)
+			dst = append(dst, half, int(gapBytes)-half)
 			gapBytes = 0
 		default:
-			out = append(out, g.MaxFillerWire)
+			dst = append(dst, g.MaxFillerWire)
 			gapBytes -= int64(g.MaxFillerWire)
 		}
 	}
-	g.Emitted += uint64(len(out))
-	return out
+	g.Emitted += uint64(len(dst) - n)
+	return dst
 }
 
 // Debt returns the current unrepresented gap debt in wire bytes.

@@ -3,6 +3,7 @@ package rate
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -70,7 +71,7 @@ func TestBurstsAverage(t *testing.T) {
 func TestGapFillerExactGaps(t *testing.T) {
 	g := NewGapFiller(wire.ByteTime(wire.Speed10G))
 	// 1 µs gap at 10 GbE = 1250 wire bytes.
-	fills := g.FillGap(1250)
+	fills := g.FillGap(nil, 1250)
 	var sum int
 	for _, f := range fills {
 		if f < g.MinFillerWire || f > g.MaxFillerWire {
@@ -89,14 +90,14 @@ func TestGapFillerExactGaps(t *testing.T) {
 func TestGapFillerShortGapDebt(t *testing.T) {
 	g := NewGapFiller(wire.ByteTime(wire.Speed10G))
 	// 40 wire bytes (32 ns): below the 76-byte floor -> skipped.
-	if fills := g.FillGap(40); fills != nil {
+	if fills := g.FillGap(nil, 40); len(fills) != 0 {
 		t.Fatalf("short gap produced fillers %v", fills)
 	}
 	if g.Debt() != 40 || g.Skipped != 1 {
 		t.Fatalf("debt=%d skipped=%d", g.Debt(), g.Skipped)
 	}
 	// Next gap absorbs the debt.
-	fills := g.FillGap(100)
+	fills := g.FillGap(nil, 100)
 	var sum int
 	for _, f := range fills {
 		sum += f
@@ -119,7 +120,7 @@ func TestGapFillerConservationProperty(t *testing.T) {
 		for _, raw := range gaps {
 			gap := int64(raw)
 			want += gap
-			for _, fl := range g.FillGap(gap) {
+			for _, fl := range g.FillGap(nil, gap) {
 				if fl < g.MinFillerWire || fl > g.MaxFillerWire {
 					return false
 				}
@@ -139,7 +140,7 @@ func TestGapFillerLargeGapSplitting(t *testing.T) {
 	// A gap slightly above MaxFillerWire must not leave an
 	// unrepresentable remainder.
 	gap := int64(g.MaxFillerWire + 10)
-	fills := g.FillGap(gap)
+	fills := g.FillGap(nil, gap)
 	var sum int64
 	for _, f := range fills {
 		if f < g.MinFillerWire || f > g.MaxFillerWire {
@@ -149,6 +150,91 @@ func TestGapFillerLargeGapSplitting(t *testing.T) {
 	}
 	if sum != gap {
 		t.Fatalf("sum = %d, want %d", sum, gap)
+	}
+}
+
+// fillGapReference is FillGap as it was before it appended into a
+// caller-owned slice: a fresh slice per gap, nil for back-to-back.
+func fillGapReference(g *GapFiller, gapBytes int64) []int {
+	gapBytes += g.debt
+	g.debt = 0
+	if gapBytes <= 0 {
+		return nil
+	}
+	if gapBytes < int64(g.MinFillerWire) {
+		g.debt = gapBytes
+		g.Skipped++
+		return nil
+	}
+	var out []int
+	for gapBytes > 0 {
+		switch {
+		case gapBytes <= int64(g.MaxFillerWire):
+			out = append(out, int(gapBytes))
+			gapBytes = 0
+		case gapBytes < int64(g.MaxFillerWire+g.MinFillerWire):
+			half := int(gapBytes / 2)
+			out = append(out, half, int(gapBytes)-half)
+			gapBytes = 0
+		default:
+			out = append(out, g.MaxFillerWire)
+			gapBytes -= int64(g.MaxFillerWire)
+		}
+	}
+	g.Emitted += uint64(len(out))
+	return out
+}
+
+// TestFillGapMatchesReference drives FillGap, reusing one slice the
+// way GapTx does, and the allocating reference side by side over
+// randomized gaps — negative, sub-floor, around the max+min split
+// boundary and multi-filler — and requires identical fillers, debt and
+// counters after every gap.
+func TestFillGapMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, minWire := range []int{DefaultMinFillerWire, HardMinFillerWire} {
+		got := NewGapFiller(wire.ByteTime(wire.Speed10G))
+		got.MinFillerWire = minWire
+		want := *got
+		var fills []int
+		for i := 0; i < 20000; i++ {
+			var gap int64
+			switch rng.Intn(4) {
+			case 0:
+				gap = rng.Int63n(300) - 100
+			case 1:
+				gap = int64(got.MaxFillerWire+got.MinFillerWire) + rng.Int63n(40) - 20
+			default:
+				gap = rng.Int63n(8000)
+			}
+			fills = got.FillGap(fills[:0], gap)
+			ref := fillGapReference(&want, gap)
+			if !slices.Equal(fills, ref) || got.debt != want.debt ||
+				got.Skipped != want.Skipped || got.Emitted != want.Emitted {
+				t.Fatalf("min %d, gap %d (#%d): FillGap %v debt %d skipped %d emitted %d, reference %v debt %d skipped %d emitted %d",
+					minWire, gap, i, fills, got.debt, got.Skipped, got.Emitted, ref, want.debt, want.Skipped, want.Emitted)
+			}
+		}
+	}
+	// A non-empty dst keeps its prefix.
+	g := NewGapFiller(wire.ByteTime(wire.Speed10G))
+	if out := g.FillGap([]int{7}, 1250); !slices.Equal(out, []int{7, 1250}) {
+		t.Fatalf("FillGap([7], 1250) = %v", out)
+	}
+}
+
+// TestFillGapZeroAlloc pins the steady state of the CRC-gap path: with
+// the previous result reused, a gap allocates nothing.
+func TestFillGapZeroAlloc(t *testing.T) {
+	g := NewGapFiller(wire.ByteTime(wire.Speed10G))
+	fills := g.FillGap(nil, 4*int64(g.MaxFillerWire))
+	i := int64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		fills = g.FillGap(fills[:0], 800+i%3000)
+	})
+	if allocs != 0 {
+		t.Fatalf("FillGap allocates %.1f times per gap, want 0", allocs)
 	}
 }
 

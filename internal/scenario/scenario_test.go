@@ -3,8 +3,10 @@ package scenario_test
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -135,6 +137,39 @@ func TestDefaultSpecsRunnable(t *testing.T) {
 			}
 			if !hasRate {
 				t.Errorf("%s: pattern %s with no rate anywhere", name, spec.Pattern)
+			}
+		}
+	}
+}
+
+// TestExecuteLeaksNoGoroutines runs every registered scenario for 5 ms
+// at one and two cores and requires the goroutine count to be no higher
+// than at its start once Execute returns: every process must have run
+// to completion and every shard goroutine must have exited.
+func TestExecuteLeaksNoGoroutines(t *testing.T) {
+	for _, name := range scenario.Names() {
+		sc, _ := scenario.Get(name)
+		for _, cores := range []int{1, 2} {
+			if _, ok := sc.(scenario.SingleCoreOnly); ok && cores > 1 {
+				continue
+			}
+			spec := testSpec(sc)
+			spec.Runtime = max(spec.Runtime, 5*sim.Millisecond)
+			spec.Cores = cores
+			before := runtime.NumGoroutine()
+			if _, err := scenario.Execute(name, spec, io.Discard); err != nil {
+				t.Fatalf("%s cores=%d: %v", name, cores, err)
+			}
+			// Shard goroutines signal completion before they return, so
+			// give the ones that just finished a moment to exit. A count
+			// below the start is a goroutine of an earlier test exiting.
+			after := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); after > before && time.Now().Before(deadline); {
+				runtime.Gosched()
+				after = runtime.NumGoroutine()
+			}
+			if after > before {
+				t.Errorf("%s cores=%d: %d goroutines before Execute, %d after", name, cores, before, after)
 			}
 		}
 	}

@@ -218,6 +218,41 @@ func TestProcYieldFairness(t *testing.T) {
 	}
 }
 
+// TestProcPanicReachesCaller checks that a panic inside a process
+// surfaces as a recoverable panic from the engine's Run call, that the
+// process is marked dead and no longer counted, and that the engine can
+// keep running the surviving processes afterwards.
+func TestProcPanicReachesCaller(t *testing.T) {
+	e := NewEngine(1)
+	boom := e.Spawn("boom", func(p *Proc) {
+		p.Sleep(Nanosecond)
+		panic("boom")
+	})
+	survivorDone := false
+	e.Spawn("survivor", func(p *Proc) {
+		p.Sleep(Microsecond)
+		survivorDone = true
+	})
+	if e.Procs() != 2 {
+		t.Fatalf("Procs() = %d after two spawns", e.Procs())
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		e.RunAll()
+		return nil
+	}()
+	if got != "boom" {
+		t.Fatalf("RunAll recovered %v, want the process's panic value", got)
+	}
+	if !boom.dead || e.Procs() != 1 {
+		t.Fatalf("after the panic: dead=%v Procs()=%d, want dead and 1 live", boom.dead, e.Procs())
+	}
+	e.RunAll()
+	if !survivorDone || e.Procs() != 0 {
+		t.Fatalf("survivor done=%v Procs()=%d after resuming the engine", survivorDone, e.Procs())
+	}
+}
+
 func TestEngineStop(t *testing.T) {
 	e := NewEngine(1)
 	n := 0
@@ -312,18 +347,18 @@ func BenchmarkEngineScheduleStep(b *testing.B) {
 	}
 }
 
-func BenchmarkProcContextSwitch(b *testing.B) {
+// BenchmarkEngineProcSwitch prices one process wake: a Sleep schedules
+// the prebound dispatch, parks, and the engine switches back into the
+// process when the event fires.
+func BenchmarkEngineProcSwitch(b *testing.B) {
 	e := NewEngine(1)
 	e.SetStopTime(Never - 1)
-	done := make(chan struct{})
 	e.Spawn("spin", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(Nanosecond)
 		}
-		close(done)
 	})
 	b.ReportAllocs()
 	b.ResetTimer()
-	go e.RunAll()
-	<-done
+	e.RunAll()
 }

@@ -128,9 +128,8 @@ func (p PHYProfile) Jitter(rng *rand.Rand) sim.Duration {
 // for short filler frames.
 //
 // Frames are recycled by the link after delivery: Data is valid only
-// for the duration of the DeliverFrame call unless the consumer calls
-// Retain, in which case the frame escapes to the consumer and the link
-// allocates a fresh one.
+// for the duration of the DeliverFrame call, so a consumer that keeps
+// the bytes copies them.
 type Frame struct {
 	Data     []byte
 	WireSize int
@@ -139,14 +138,7 @@ type Frame struct {
 	// SeqNo is the link-level emission sequence number, used by tests
 	// to check that delivery order matches transmission order.
 	SeqNo uint64
-
-	retained bool
 }
-
-// Retain marks the frame as escaped: the link will not recycle it after
-// DeliverFrame returns, so the consumer may keep Data indefinitely (the
-// DuT model queues frames in its driver backlog this way).
-func (f *Frame) Retain() { f.retained = true }
 
 // Endpoint consumes frames delivered by a link.
 type Endpoint interface {
@@ -154,7 +146,7 @@ type Endpoint interface {
 	// instant is reached (arrival + demodulation); the frame is fully
 	// received serTime later. rxTime is the PHY-level timestamp
 	// instant including jitter. The frame's Data is only valid during
-	// the call unless Frame.Retain is invoked.
+	// the call.
 	DeliverFrame(f *Frame, rxTime sim.Time)
 }
 
@@ -339,7 +331,7 @@ func (l *Link) TransmitAt(f *Frame, start sim.Time) sim.Time {
 
 // AcquireFrame returns a recycled (or fresh) frame for transmission.
 // The MAC fills Data/WireSize/CRCOK and hands it to TransmitAt; the
-// link recycles it after delivery unless the consumer Retains it.
+// link recycles it after delivery.
 func (l *Link) AcquireFrame() *Frame {
 	n := len(l.freeFrames)
 	if n == 0 {
@@ -387,7 +379,7 @@ func (l *Link) push(f *Frame, at sim.Time) {
 
 // deliver fires at the head frame's receive instant (plus the delivery
 // slack, if set): it delivers every due frame in FIFO order, recycles
-// non-retained frames, and re-arms itself for the next pending frame.
+// the frames, and re-arms itself for the next pending frame.
 // A StatsFlusher endpoint gets one FlushStats call after the train.
 // After a link-down drained the FIFO the stale event finds it empty
 // and disarms harmlessly.
@@ -408,7 +400,7 @@ func (l *Link) deliver() {
 		l.pending.Pop()
 		l.peer.DeliverFrame(d.f, d.at)
 		delivered = true
-		if !d.f.retained && len(l.freeFrames) < 1024 {
+		if len(l.freeFrames) < 1024 {
 			d.f.Data = d.f.Data[:0]
 			l.freeFrames = append(l.freeFrames, d.f)
 		}
@@ -422,7 +414,7 @@ func (l *Link) deliver() {
 func (l *Link) drop(f *Frame) {
 	l.DroppedFrames++
 	l.DroppedBytes += uint64(f.WireSize)
-	if !f.retained && len(l.freeFrames) < 1024 {
+	if len(l.freeFrames) < 1024 {
 		f.Data = f.Data[:0]
 		l.freeFrames = append(l.freeFrames, f)
 	}
