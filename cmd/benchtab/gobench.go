@@ -171,7 +171,8 @@ func runGoBench(path, cpuProfile, memProfile string) error {
 
 // gatedBenchmarks are the hot-path benchmarks the -check gate guards:
 // the batched TX/RX datapaths, the event-scheduler core (the timing
-// wheel's schedule/fire loop and the process wake/park switch), and
+// wheel's schedule/fire loop, the process wake/park switch and the
+// paced-sender tick), and
 // the figure-level scaling runs whose allocation counts the zero-alloc
 // sweep is accountable for.
 var gatedBenchmarks = map[string]bool{
@@ -186,6 +187,7 @@ var gatedBenchmarks = map[string]bool{
 	"BenchmarkCRCGapScheduling":      true,
 	"BenchmarkEngineSchedule":        true,
 	"BenchmarkEngineProcSwitch":      true,
+	"BenchmarkEnginePacedTick":       true,
 	"BenchmarkFig2MultiCoreScaling":  true,
 	"BenchmarkFig4Scaling120G":       true,
 	"BenchmarkFlowTrackerMillion":    true,

@@ -17,8 +17,7 @@ import (
 // the role of MoonGen's master task: configure devices, launch slaves,
 // wait for them (Listing 1).
 type App struct {
-	Eng   *sim.Engine
-	tasks []*sim.Proc
+	Eng *sim.Engine
 
 	// Shard identifies the multicore shard this app models when it is
 	// one engine of a sharded group (set by internal/multicore); 0 for
@@ -95,10 +94,9 @@ func (t *Task) Cache() *mempool.Cache { return t.app.TxCache() }
 // LaunchTask starts fn as a new task — mg.launchLua("slave", args...)
 // with the args captured by the closure.
 func (a *App) LaunchTask(name string, fn func(t *Task)) {
-	p := a.Eng.Spawn(name, func(p *sim.Proc) {
+	a.Eng.Spawn(name, func(p *sim.Proc) {
 		fn(&Task{Proc: p, app: a})
 	})
-	a.tasks = append(a.tasks, p)
 }
 
 // RunFor runs the simulation for d of simulated time, then drains

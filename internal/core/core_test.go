@@ -309,7 +309,7 @@ func TestPushTxFollowsPattern(t *testing.T) {
 	rx.SetDeliverHook(func(f *wire.Frame, at sim.Time) bool { count++; return true })
 
 	p := &PushTx{Queue: tx.GetTxQueue(0), Pattern: rate.NewCBRPPS(500e3), PktSize: 60}
-	app.LaunchTask("pushtx", p.Run)
+	p.Launch(app)
 	const runFor = 10 * sim.Millisecond
 	atStop := 0
 	app.Eng.Schedule(sim.Time(runFor), func() { atStop = count })

@@ -206,32 +206,31 @@ type PushTx struct {
 	Sent uint64
 }
 
-// Run transmits until the run ends. It must run as its own task.
-func (p *PushTx) Run(t *Task) {
-	cache := t.Cache()
-	rng := t.Engine().Rand()
-	next := t.Now()
-	var i uint64
-	for t.Running() {
+// Launch starts the generator on the app's engine; it transmits until
+// the run ends. It draws buffers from the app's per-core cache
+// (App.TxCache) and its gaps from the engine's random source.
+func (p *PushTx) Launch(app *App) {
+	cache := app.TxCache()
+	rng := app.Eng.Rand()
+	var next sim.Time
+	app.Eng.Pace(func(now sim.Time) sim.Time {
+		next = now.Add(p.Pattern.NextGap(rng))
+		return next
+	}, func(sim.Time) sim.Time {
+		// A dry cache is overload: the generator drops, like the original.
+		if m := cache.Alloc(p.PktSize); m != nil {
+			if p.Fill != nil {
+				p.Fill(m, p.Sent)
+			}
+			if p.Queue.SendOne(m) {
+				p.Sent++
+			} else {
+				m.Free()
+			}
+		}
 		next = next.Add(p.Pattern.NextGap(rng))
-		t.SleepUntil(next)
-		if !t.Running() {
-			break
-		}
-		m := cache.Alloc(p.PktSize)
-		if m == nil {
-			continue // overload: the generator drops, like the original
-		}
-		if p.Fill != nil {
-			p.Fill(m, i)
-		}
-		if !p.Queue.SendOne(m) {
-			m.Free()
-			continue
-		}
-		p.Sent++
-		i++
-	}
+		return next
+	})
 }
 
 // HWRateTx drives a hardware-rate-controlled queue (§7.2): the queue's

@@ -59,10 +59,10 @@ func launchGenerator(app *core.App, g Generator, q *nic.TxQueue, pps float64, pk
 		app.LaunchTask("moongen-hw", tx.Run)
 	case GenPktgen:
 		tx := &core.PushTx{Queue: q, Pattern: rate.NewSoftPushPPS(pps, b2b), PktSize: pktSize, Fill: fillPlainUDP(pktSize)}
-		app.LaunchTask("pktgen-push", tx.Run)
+		tx.Launch(app)
 	case GenZsend:
 		tx := &core.PushTx{Queue: q, Pattern: rate.NewBurstyPPS(pps, b2b), PktSize: pktSize, Fill: fillPlainUDP(pktSize)}
-		app.LaunchTask("zsend-push", tx.Run)
+		tx.Launch(app)
 	}
 }
 

@@ -268,6 +268,50 @@ func TestBadCRCDroppedEarly(t *testing.T) {
 	}
 }
 
+// frameSpy records the payload length of every frame a link delivers,
+// then hands the frame on to the receiving port.
+type frameSpy struct {
+	port    *Port
+	dataLen []int
+}
+
+func (s *frameSpy) DeliverFrame(f *wire.Frame, rxTime sim.Time) {
+	s.dataLen = append(s.dataLen, len(f.Data))
+	s.port.DeliverFrame(f, rxTime)
+}
+
+func (s *frameSpy) FlushStats() { s.port.FlushStats() }
+
+// TestBadCRCFrameCarriesNoData: the MAC leaves a bad-FCS frame's
+// payload off the wire, yet the frame still occupies its WireSize on
+// the link and still moves the receiver's error counter.
+func TestBadCRCFrameCarriesNoData(t *testing.T) {
+	eng := sim.NewEngine(7)
+	a := NewPort(eng, PortConfig{Profile: ChipX540, ID: 0, TxQueues: 1, RxQueues: 1})
+	b := NewPort(eng, PortConfig{Profile: ChipX540, ID: 1, TxQueues: 1, RxQueues: 1})
+	spy := &frameSpy{port: b}
+	link := wire.NewLink(eng, a.Speed(), wire.PHY10GBaseT, 2, spy)
+	a.Connect(link)
+	pool := mempool.New(mempool.Config{Count: 64})
+	q := a.GetTxQueue(0)
+	eng.Schedule(0, func() {
+		bad := makeUDP(pool, 60, 2)
+		bad.TxMeta.InvalidCRC = true
+		q.SendOne(bad)
+		q.SendOne(makeUDP(pool, 60, 1))
+	})
+	eng.RunAll()
+	if st := b.GetStats(); st.RxCRCErrors != 1 || st.RxPackets != 1 {
+		t.Fatalf("rx stats = %+v, want 1 crc error and 1 packet", st)
+	}
+	if link.TxFrames != 2 || link.TxBytes != 2*(60+proto.FCSLen) {
+		t.Fatalf("link tx = %d frames / %d bytes, want 2 / %d", link.TxFrames, link.TxBytes, 2*(60+proto.FCSLen))
+	}
+	if len(spy.dataLen) != 2 || spy.dataLen[0] != 0 || spy.dataLen[1] != 60 {
+		t.Fatalf("delivered payload lengths = %v, want [0 60]", spy.dataLen)
+	}
+}
+
 // TestRuntFramesDroppedAsErrors: sub-64B wire frames also hit the error
 // counter (illegal length), used by the CRC-gap method for short gaps.
 func TestRuntFramesDropped(t *testing.T) {

@@ -477,7 +477,12 @@ func (p *Port) transmitFrameAt(q *TxQueue, m *mempool.Mbuf, start sim.Time) {
 	}
 
 	f := p.link.AcquireFrame()
-	f.Data = append(f.Data, data...)
+	if !meta.InvalidCRC {
+		// A bad-FCS frame is dropped by the receiving MAC before a byte
+		// is read, and the link counts WireSize: its payload stays off
+		// the wire.
+		f.Data = append(f.Data, data...)
+	}
 	f.WireSize = m.Len + proto.FCSLen
 	f.CRCOK = !meta.InvalidCRC
 	busyUntil := p.link.TransmitAt(f, start)

@@ -10,10 +10,6 @@ import (
 	"repro/internal/wire"
 )
 
-// softCBR carries the software-paced CBR task's transmit count across
-// the launch/finish boundary.
-type softCBR struct{ sent uint64 }
-
 // loadScenario is the family of single-flow load generators that made
 // up the old cmd/moongen switch: the pattern (line rate, hardware CBR,
 // Poisson or bursts via CRC-gap pacing) and optional latency probing
@@ -87,37 +83,31 @@ func LaunchLoad(env *Env) (finish func(*Report), err error) {
 			interval = sim.FromSeconds(1 / pps)
 		}
 		pool := env.NewFlowPool(flow, size, 4096)
-		soft := &softCBR{}
 		phase := spec.TxPhase
-		env.App().LaunchTask("softcbr", func(t *core.Task) {
-			// Packets leave on an exact grid: first at start+TxPhase,
-			// then every interval. k shards at rate/k with phases
-			// 0..k-1 times the aggregate interval interleave onto the
-			// aggregate grid exactly, so merged counts are invariant
-			// in the shard count.
-			next := t.Now().Add(phase)
-			var i uint64
-			for t.Running() {
-				t.SleepUntil(next)
-				if !t.Running() {
-					break
-				}
-				next = next.Add(interval)
-				m := pool.Alloc(size)
-				if m == nil {
-					continue // overload: drop the slot
-				}
-				fill(m, i)
-				if !q.SendOne(m) {
+		// Packets leave on an exact grid: first at start+TxPhase, then
+		// every interval. k shards at rate/k with phases 0..k-1 times
+		// the aggregate interval interleave onto the aggregate grid
+		// exactly, so merged counts are invariant in the shard count.
+		var next sim.Time
+		var sent uint64
+		env.App().Eng.Pace(func(now sim.Time) sim.Time {
+			next = now.Add(phase)
+			return next
+		}, func(sim.Time) sim.Time {
+			// A dry pool is overload: the slot is dropped.
+			if m := pool.Alloc(size); m != nil {
+				fill(m, sent)
+				if q.SendOne(m) {
+					sent++
+				} else {
 					m.Free()
-					continue
 				}
-				soft.sent++
-				i++
 			}
+			next = next.Add(interval)
+			return next
 		})
 		finish = func(rep *Report) {
-			rep.Flows = append(rep.Flows, FlowReport{Name: flow.Name, TxPackets: soft.sent})
+			rep.Flows = append(rep.Flows, FlowReport{Name: flow.Name, TxPackets: sent})
 		}
 	case PatternPoisson, PatternBursts:
 		if pps <= 0 {

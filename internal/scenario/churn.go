@@ -104,38 +104,36 @@ func (churnScenario) Run(env *Env) (*Report, error) {
 	var started, errs uint64
 	q := env.TX().GetTxQueue(0)
 
-	env.App().LaunchTask("churn-tx", func(t *core.Task) {
-		WR := uint64(W) * uint64(R)
-		next := t.Now().Add(phase)
-		var n uint64
-		for t.Running() {
-			t.SleepUntil(next)
-			if !t.Running() {
-				break
-			}
-			j := uint64(index) + n*uint64(stride)
-			n++
-			next = next.Add(interval)
-			gen, loc := j/WR, j%WR
-			fid := gen*uint64(W) + loc%uint64(W)
-			seq := loc / uint64(W)
-			if seq == 0 {
-				started++
-			}
-			m := pool.Alloc(size)
-			if m == nil {
-				errs++
-				continue
-			}
-			tmpl.SetIPDst(base.DstIP + proto.IPv4(fid>>16))
-			tmpl.SetDstPort(uint16(fid))
-			tmpl.Apply(m.Payload())
-			flow.Stamp(m.Payload()[payloadOff:], seq, t.Now())
-			if !q.SendOne(m) {
-				m.Free()
-				errs++
-			}
+	WR := uint64(W) * uint64(R)
+	var next sim.Time
+	var n uint64
+	env.App().Eng.Pace(func(now sim.Time) sim.Time {
+		next = now.Add(phase)
+		return next
+	}, func(now sim.Time) sim.Time {
+		j := uint64(index) + n*uint64(stride)
+		n++
+		next = next.Add(interval)
+		gen, loc := j/WR, j%WR
+		fid := gen*uint64(W) + loc%uint64(W)
+		seq := loc / uint64(W)
+		if seq == 0 {
+			started++
 		}
+		m := pool.Alloc(size)
+		if m == nil {
+			errs++
+			return next
+		}
+		tmpl.SetIPDst(base.DstIP + proto.IPv4(fid>>16))
+		tmpl.SetDstPort(uint16(fid))
+		tmpl.Apply(m.Payload())
+		flow.Stamp(m.Payload()[payloadOff:], seq, now)
+		if !q.SendOne(m) {
+			m.Free()
+			errs++
+		}
+		return next
 	})
 	sink := env.LaunchFlowSink(tr)
 

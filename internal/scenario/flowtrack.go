@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/flow"
 	"repro/internal/mempool"
 	"repro/internal/proto"
@@ -165,55 +164,58 @@ func launchFlowTx(env *Env, cfg flowTxConfig) (*flowTxResult, error) {
 	}
 	const payloadOff = proto.EthHdrLen + proto.IPv4HdrLen + proto.UDPHdrLen
 
-	env.App().LaunchTask("flow-tx", func(t *core.Task) {
-		send := func(fi int, stamped uint64) bool {
-			m := pools[fi].Alloc(sizes[fi])
-			if m == nil {
-				res.errs[fi]++
-				return false
-			}
-			flow.Stamp(m.Payload()[payloadOff:], stamped, t.Now())
-			if !q.SendOne(m) {
-				m.Free()
-				res.errs[fi]++
-				return false
-			}
-			res.sent[fi]++
-			return true
+	send := func(fi int, stamped uint64, now sim.Time) bool {
+		m := pools[fi].Alloc(sizes[fi])
+		if m == nil {
+			res.errs[fi]++
+			return false
 		}
-		start := t.Now()
-		next := start.Add(phase)
-		var n uint64
-		for t.Running() {
-			j := uint64(index) + n*uint64(stride)
-			if cfg.slotTime != nil {
-				next = start.Add(cfg.slotTime(j))
-			}
-			t.SleepUntil(next)
-			if !t.Running() {
-				break
-			}
-			n++
-			if cfg.slotTime == nil {
-				next = next.Add(interval)
-			}
-			fi := int(j % uint64(F))
-			s := j / uint64(F)
-			if cfg.admit != nil && !cfg.admit(j) {
-				res.overload[fi]++
-				continue
-			}
-			stamped := s
-			if cfg.stampSeq != nil {
-				stamped = cfg.stampSeq(s)
-			}
-			if !send(fi, stamped) {
-				continue
-			}
-			if cfg.dupEvery > 0 && s%cfg.dupEvery == 0 {
-				send(fi, stamped)
-			}
+		flow.Stamp(m.Payload()[payloadOff:], stamped, now)
+		if !q.SendOne(m) {
+			m.Free()
+			res.errs[fi]++
+			return false
 		}
+		res.sent[fi]++
+		return true
+	}
+	// emit sends (or gates) global slot j.
+	emit := func(j uint64, now sim.Time) {
+		fi := int(j % uint64(F))
+		s := j / uint64(F)
+		if cfg.admit != nil && !cfg.admit(j) {
+			res.overload[fi]++
+			return
+		}
+		stamped := s
+		if cfg.stampSeq != nil {
+			stamped = cfg.stampSeq(s)
+		}
+		if send(fi, stamped, now) && cfg.dupEvery > 0 && s%cfg.dupEvery == 0 {
+			send(fi, stamped, now)
+		}
+	}
+	var start, next sim.Time
+	var n uint64 // slots of this shard taken so far
+	// deadline returns the departure time of this shard's slot n.
+	deadline := func() sim.Time {
+		if cfg.slotTime != nil {
+			next = start.Add(cfg.slotTime(uint64(index) + n*uint64(stride)))
+		}
+		return next
+	}
+	env.App().Eng.Pace(func(now sim.Time) sim.Time {
+		start = now
+		next = start.Add(phase)
+		return deadline()
+	}, func(now sim.Time) sim.Time {
+		j := uint64(index) + n*uint64(stride)
+		n++
+		if cfg.slotTime == nil {
+			next = next.Add(interval)
+		}
+		emit(j, now)
+		return deadline()
 	})
 	return res, nil
 }

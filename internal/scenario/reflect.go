@@ -67,47 +67,45 @@ func (reflectScenario) Run(env *Env) (*Report, error) {
 	var echoSent, arpSent uint64
 	reqPool := core.CreateMemPool(2048, nil)
 	interval := sim.FromSeconds(1 / (spec.RateMpps * 1e6))
-	app.LaunchTask("requester", func(t *core.Task) {
-		next := t.Now()
-		var seq uint64
-		for t.Running() {
-			next = next.Add(interval)
-			t.SleepUntil(next)
-			if !t.Running() {
-				break
-			}
-			m := reqPool.Alloc(size)
-			if m == nil {
-				continue
-			}
-			if seq%arpEvery == arpEvery-1 {
-				proto.EthHdr(m.Payload()).Fill(proto.EthFill{
-					Src: tx.MAC(), Dst: proto.BroadcastMAC, EtherType: proto.EtherTypeARP,
-				})
-				proto.ARPHdr(m.Payload()[proto.EthHdrLen:]).Fill(proto.ARPFill{
-					Op:        proto.ARPOpRequest,
-					SenderMAC: tx.MAC(), SenderIP: flow.SrcIP,
-					TargetIP: flow.DstIP,
-				})
-				arpSent++
-			} else {
-				p := proto.ICMPPacket{B: m.Payload()}
-				p.Fill(proto.ICMPPacketFill{
-					PktLength: size,
-					EthSrc:    tx.MAC(), EthDst: rx.MAC(),
-					IPSrc: flow.SrcIP, IPDst: flow.DstIP,
-					Type: proto.ICMPTypeEcho,
-					ID:   0xbeef, Seq: uint16(seq),
-				})
-				binary.BigEndian.PutUint64(p.ICMP().Payload(), uint64(t.Now()))
-				p.ICMP().CalcChecksumV4(icmpLen)
-				echoSent++
-			}
-			seq++
-			if !tx.GetTxQueue(0).SendOne(m) {
-				m.Free()
-			}
+	var next sim.Time
+	var seq uint64
+	app.Eng.Pace(func(now sim.Time) sim.Time {
+		next = now.Add(interval)
+		return next
+	}, func(now sim.Time) sim.Time {
+		next = next.Add(interval)
+		m := reqPool.Alloc(size)
+		if m == nil {
+			return next
 		}
+		if seq%arpEvery == arpEvery-1 {
+			proto.EthHdr(m.Payload()).Fill(proto.EthFill{
+				Src: tx.MAC(), Dst: proto.BroadcastMAC, EtherType: proto.EtherTypeARP,
+			})
+			proto.ARPHdr(m.Payload()[proto.EthHdrLen:]).Fill(proto.ARPFill{
+				Op:        proto.ARPOpRequest,
+				SenderMAC: tx.MAC(), SenderIP: flow.SrcIP,
+				TargetIP: flow.DstIP,
+			})
+			arpSent++
+		} else {
+			p := proto.ICMPPacket{B: m.Payload()}
+			p.Fill(proto.ICMPPacketFill{
+				PktLength: size,
+				EthSrc:    tx.MAC(), EthDst: rx.MAC(),
+				IPSrc: flow.SrcIP, IPDst: flow.DstIP,
+				Type: proto.ICMPTypeEcho,
+				ID:   0xbeef, Seq: uint16(seq),
+			})
+			binary.BigEndian.PutUint64(p.ICMP().Payload(), uint64(now))
+			p.ICMP().CalcChecksumV4(icmpLen)
+			echoSent++
+		}
+		seq++
+		if !tx.GetTxQueue(0).SendOne(m) {
+			m.Free()
+		}
+		return next
 	})
 
 	// Responder: the sink answers every request in kind on its own

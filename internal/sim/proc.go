@@ -16,6 +16,12 @@ import (
 // written as ordinary sequential Go code with loops — the direct
 // analogue of a MoonGen slave task's transmit or receive loop. A panic
 // inside a process propagates out of the engine's Run call.
+//
+// Use a Proc for a task that blocks in the middle of its body: busy-
+// wait backoff (SendAll, AllocAll, RecvPoll), multi-step sequences and
+// receive loops. A sender whose only wait is one deadline per loop
+// iteration should use Engine.Pace instead, which costs one event per
+// deadline and no coroutine switch.
 type Proc struct {
 	eng  *Engine
 	name string
@@ -50,6 +56,51 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	// Spawn itself never runs user code.
 	e.ScheduleProc(e.now, p)
 	return p
+}
+
+// Pace starts a paced sender: a task whose body never blocks except to
+// wait for its next deadline. It is the event-for-event equivalent of
+// the process
+//
+//	e.Spawn(name, func(p *Proc) {
+//		next := first(p.Now())
+//		for p.Running() {
+//			p.SleepUntil(next)
+//			if !p.Running() {
+//				break
+//			}
+//			next = tick(p.Now())
+//		}
+//	})
+//
+// run as two prebound event callbacks instead of a coroutine: first
+// runs in an event at the current simulated time, where Spawn's first
+// wake-up would fire, and tick runs at each deadline that it or first
+// returned. Each deadline is scheduled at the same point in program
+// order as the process's SleepUntil, so event order, sequence numbers
+// and EventsProcessed are identical; a deadline in the past becomes a
+// wake-up at the current instant. The sender stops once Running
+// reports false, exactly where the process loop would.
+//
+// Use Pace for software-paced transmit loops (one packet or decision
+// per deadline); use Spawn when the body must block mid-iteration.
+func (e *Engine) Pace(first func(now Time) Time, tick func(now Time) Time) {
+	var tickFn func()
+	tickFn = func() {
+		if !e.Running() {
+			return
+		}
+		next := tick(e.now)
+		if e.Running() {
+			e.Schedule(max(next, e.now), tickFn)
+		}
+	}
+	e.Schedule(e.now, func() {
+		next := first(e.now)
+		if e.Running() {
+			e.Schedule(max(next, e.now), tickFn)
+		}
+	})
 }
 
 // ScheduleProc arms a wake-up for p at time at through the process's

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -253,6 +255,121 @@ func TestProcPanicReachesCaller(t *testing.T) {
 	}
 }
 
+// paceStop is one way a paced run can end mid-grid: arm runs before
+// the sender is launched; a non-zero tick makes the sender's own tick
+// number tick call Stop.
+type paceStop struct {
+	arm  func(e *Engine, rec func(string))
+	tick int
+}
+
+// pacedTrace runs one paced sender, launched at 5 ns from inside an
+// event, against background events at the same instants, and returns
+// the (time, label) trace and the engine's event count. The sender runs
+// through Engine.Pace when paced is set, otherwise through the process
+// loop Pace is defined to reproduce. Its deadlines are a 10 ns grid
+// with one past deadline (step 3) and one same-instant deadline (step
+// 5).
+func pacedTrace(paced bool, stop paceStop) ([]string, uint64) {
+	e := NewEngine(1)
+	var trace []string
+	rec := func(label string) {
+		trace = append(trace, fmt.Sprintf("%v %s", e.Now(), label))
+	}
+	k := 0
+	deadline := func(now Time) Time {
+		switch k {
+		case 3:
+			return now.Add(-5 * Nanosecond)
+		case 5:
+			return now
+		}
+		return now.Add(10 * Nanosecond)
+	}
+	first := func(now Time) Time {
+		rec("first")
+		e.Schedule(now, func() { rec("after first") })
+		return deadline(now)
+	}
+	tick := func(now Time) Time {
+		k++
+		rec(fmt.Sprintf("tick %d", k))
+		if k == stop.tick {
+			e.Stop()
+		}
+		e.Schedule(now, func() { rec(fmt.Sprintf("echo %d", k)) })
+		next := deadline(now)
+		e.Schedule(max(next, now), func() { rec(fmt.Sprintf("ahead of tick %d", k+1)) })
+		return next
+	}
+	for at := Time(0); at <= Time(200*Nanosecond); at = at.Add(5 * Nanosecond) {
+		e.Schedule(at, func() { rec("bg") })
+	}
+	if stop.arm != nil {
+		stop.arm(e, rec)
+	}
+	e.Schedule(Time(5*Nanosecond), func() {
+		if paced {
+			e.Pace(first, tick)
+			return
+		}
+		e.Spawn("ref", func(p *Proc) {
+			next := first(p.Now())
+			for p.Running() {
+				p.SleepUntil(next)
+				if !p.Running() {
+					break
+				}
+				next = tick(p.Now())
+			}
+		})
+	})
+	for at := Time(0); at <= Time(200*Nanosecond); at = at.Add(5 * Nanosecond) {
+		e.Schedule(at, func() { rec("bg late") })
+	}
+	e.RunAll()
+	return trace, e.EventsProcessed()
+}
+
+// TestPaceMatchesProcLoop checks Pace against the process loop it
+// replaces: the same deadlines, including a past and a same-instant
+// one, interleaved with other events at the same instants, give the
+// identical (time, order) trace and event count under every way the
+// run can end mid-grid. Ticks land at 15, 25, 35, 35, 45, 45, 55, ...
+func TestPaceMatchesProcLoop(t *testing.T) {
+	stopAt := func(at Time) func(e *Engine, rec func(string)) {
+		return func(e *Engine, rec func(string)) { e.SetStopTime(at) }
+	}
+	stopEvent := func(armAt, at Time) func(e *Engine, rec func(string)) {
+		return func(e *Engine, rec func(string)) {
+			e.Schedule(armAt, func() {
+				e.Schedule(at, func() { rec("stop"); e.Stop() })
+			})
+		}
+	}
+	ns := func(n int) Time { return Time(Duration(n) * Nanosecond) }
+	stops := map[string]paceStop{
+		"stop time between deadlines":         {arm: stopAt(ns(62))},
+		"stop time on a deadline":             {arm: stopAt(ns(65))},
+		"stop time at launch":                 {arm: stopAt(ns(5))},
+		"Stop before the tick at its instant": {arm: stopEvent(0, ns(55))},
+		"Stop after the tick at its instant":  {arm: stopEvent(ns(50), ns(55))},
+		"Stop inside a tick":                  {tick: 6},
+	}
+	for name, stop := range stops {
+		t.Run(name, func(t *testing.T) {
+			want, wantEvents := pacedTrace(false, stop)
+			got, gotEvents := pacedTrace(true, stop)
+			if !slices.Equal(got, want) {
+				t.Fatalf("Pace trace differs from the process loop:\n got  %q\n want %q", got, want)
+			}
+			if gotEvents != wantEvents {
+				t.Fatalf("Pace fired %d events, the process loop %d", gotEvents, wantEvents)
+			}
+		})
+	}
+}
+
 func TestEngineStop(t *testing.T) {
 	e := NewEngine(1)
 	n := 0
@@ -357,6 +474,24 @@ func BenchmarkEngineProcSwitch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(Nanosecond)
 		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.RunAll()
+}
+
+// BenchmarkEnginePacedTick prices one paced-sender deadline: the tick
+// returns its next deadline and Pace schedules the prebound tick event
+// — BenchmarkEngineProcSwitch's work without the coroutine switch.
+func BenchmarkEnginePacedTick(b *testing.B) {
+	e := NewEngine(1)
+	e.SetStopTime(Never - 1)
+	n := 0
+	e.Pace(func(now Time) Time { return now.Add(Nanosecond) }, func(now Time) Time {
+		if n++; n == b.N {
+			e.Stop()
+		}
+		return now.Add(Nanosecond)
 	})
 	b.ReportAllocs()
 	b.ResetTimer()

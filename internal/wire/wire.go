@@ -125,7 +125,10 @@ func (p PHYProfile) Jitter(rng *rand.Rand) sim.Duration {
 // records whether the FCS was valid when the MAC emitted it (the §8
 // rate-control filler frames are emitted with CRCOK=false). WireSize is
 // the frame size including FCS — possibly below the legal 64 B minimum
-// for short filler frames.
+// for short filler frames. A frame with CRCOK=false carries no Data:
+// the receiving MAC drops it unread, so the transmitting MAC does not
+// copy its payload; its WireSize still occupies the wire and counts in
+// the link's byte counters.
 //
 // Frames are recycled by the link after delivery: Data is valid only
 // for the duration of the DeliverFrame call, so a consumer that keeps
