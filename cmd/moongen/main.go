@@ -12,13 +12,14 @@
 //	moongen run <spec.yaml|spec.json> [flags]
 //
 // The named form starts from the scenario's default spec; the run form
-// starts from a declarative spec file (see docs/spec-reference.md)
-// compiled at load time by internal/spec. In both forms flags override
-// the starting spec; the flagDefs table below is the single source for
-// both the FlagSet and the usage synopsis.
+// starts from a declarative spec file (see docs/spec-reference.md). In
+// both forms the knob flags come from internal/spec's knob table and
+// override the starting spec before it is validated, so a flag passes
+// the same bounds and checks as the spec key it stands for.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,210 +35,137 @@ import (
 	_ "repro/internal/experiments"
 )
 
-// options collects the parsed flag values before they are applied onto
-// the starting spec (scenario default or compiled spec file).
-type options struct {
-	rateMpps    float64
-	size        int
-	runMS       float64
-	seed        int64
-	pattern     string
-	burst       int
-	batch       int
-	probes      int
-	samples     int
-	steps       int
-	useDuT      bool
-	cores       int
-	flows       int
-	churnFlows  int
-	churnLife   int
-	telemetry   string
-	telemetryMS float64
-	telemetryDg bool
-	faults      string
-}
-
-// flagDefs is the single source of truth for the CLI flags: each entry
-// registers its flag on the FlagSet and contributes its synopsis
-// fragment to usage(). TestUsageCoversEveryFlag pins that the two views
-// never drift apart.
-var flagDefs = []struct {
-	synopsis string
-	register func(fs *flag.FlagSet, o *options, sp scenario.Spec)
-}{
-	{"-rate M", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.Float64Var(&o.rateMpps, "rate", sp.RateMpps, "rate [Mpps] (0 = line rate where applicable)")
-	}},
-	{"-size B", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.size, "size", sp.PktSize, "frame size without FCS")
-	}},
-	{"-runtime MS", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.Float64Var(&o.runMS, "runtime", sp.Runtime.Seconds()*1e3, "simulated run time [ms]")
-	}},
-	{"-seed N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.Int64Var(&o.seed, "seed", sp.Seed, "simulation seed")
-	}},
-	{"-pattern P", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.StringVar(&o.pattern, "pattern", string(sp.Pattern), "pattern: linerate, cbr, softcbr, poisson or bursts")
-	}},
-	{"-burst N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.burst, "burst", sp.Burst, "burst size for the bursts pattern")
-	}},
-	{"-batch N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.batch, "batch", sp.Batch, "TX burst size through the batched datapath (1 = per-packet)")
-	}},
-	{"-probes N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.probes, "probes", sp.Probes, "timestamped latency probes (0 = none)")
-	}},
-	{"-samples N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.samples, "samples", sp.Samples, "samples for distribution measurements")
-	}},
-	{"-steps N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.steps, "steps", sp.Steps, "sweep steps for sweeping scenarios")
-	}},
-	{"-dut", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.BoolVar(&o.useDuT, "dut", sp.UseDuT, "route traffic through the simulated DuT forwarder")
-	}},
-	{"-cores N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.cores, "cores", sp.Cores, "modeled cores (> 1 runs sharded engines and merges the reports)")
-	}},
-	{"-flows N", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.flows, "flows", len(sp.Flows), "declared flow count (0 keeps the scenario's default flow set)")
-	}},
-	{"-churn-flows W", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.churnFlows, "churn-flows", sp.ChurnFlows, "churn scenario: live-flow working set size")
-	}},
-	{"-churn-life R", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.IntVar(&o.churnLife, "churn-life", sp.ChurnLife, "churn scenario: flow lifetime in packets")
-	}},
-	{"-telemetry PATH", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.StringVar(&o.telemetry, "telemetry", "", "record windowed telemetry to PATH (.jsonl switches to JSONL, else CSV)")
-	}},
-	{"-telemetry-interval MS", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		def := 1.0
-		if sp.TelemetryInterval > 0 {
-			def = sp.TelemetryInterval.Seconds() * 1e3
-		}
-		fs.Float64Var(&o.telemetryMS, "telemetry-interval", def, "telemetry window length [ms of simulated time]")
-	}},
-	{"-telemetry-diag", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.BoolVar(&o.telemetryDg, "telemetry-diag", sp.TelemetryDiag, "include diagnostic columns (engine/pool internals; vary with -cores/-batch)")
-	}},
-	{"-faults PATH", func(fs *flag.FlagSet, o *options, sp scenario.Spec) {
-		fs.StringVar(&o.faults, "faults", "", "load a fault plan (a faults: block, YAML or JSON) onto the scenario")
-	}},
-}
-
-// newFlagSet builds the scenario FlagSet from flagDefs, seeded with the
-// starting spec so flag defaults reflect what will run.
-func newFlagSet(name string, sp scenario.Spec) (*flag.FlagSet, *options) {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
-	o := &options{}
-	for _, d := range flagDefs {
-		d.register(fs, o, sp)
-	}
-	return fs, o
-}
+// runError is a failure of the run itself, not of its command line or
+// spec; it exits 1 instead of 2.
+type runError struct{ error }
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	name := os.Args[1]
-	switch name {
-	case "list", "-list", "--list":
-		runList(os.Stdout)
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
 		return
-	case "run":
-		if len(os.Args) < 3 || strings.HasPrefix(os.Args[2], "-") {
-			fmt.Fprintln(os.Stderr, "usage: moongen run <spec.yaml|spec.json> [flags]")
-			os.Exit(2)
-		}
-		doc, err := spec.Load(os.Args[2])
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		scName, compiled, err := doc.Compile()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		os.Exit(runScenario(scName, compiled, os.Args[3:]))
 	}
-	sc, ok := scenario.Get(name)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scenario %q\n\n", name)
-		usage()
-		os.Exit(2)
+	fmt.Fprintln(os.Stderr, err)
+	if errors.As(err, new(runError)) {
+		os.Exit(1)
 	}
-	os.Exit(runScenario(name, sc.DefaultSpec(), os.Args[2:]))
+	os.Exit(2)
 }
 
-// runScenario applies the CLI flags on top of the starting spec, wires
-// the optional telemetry file, executes and prints the report. It is
-// the shared tail of both `moongen <scenario>` and `moongen run`; the
-// returned value is the process exit code.
-func runScenario(name string, sp scenario.Spec, args []string) int {
-	fs, o := newFlagSet(name, sp)
-	_ = fs.Parse(args)
-
-	sp.RateMpps = o.rateMpps
-	sp.PktSize = o.size
-	if o.runMS > 0 {
-		sp.Runtime = sim.FromSeconds(o.runMS / 1e3)
+// run is the whole CLI: it dispatches on the first argument and writes
+// reports to stdout and usage to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	if len(args) < 1 {
+		usage(stderr)
+		return errors.New("missing scenario name")
 	}
-	sp.Seed = o.seed
-	sp.Pattern = scenario.Pattern(o.pattern)
-	sp.Burst = o.burst
-	sp.Batch = o.batch
-	sp.Probes = o.probes
-	sp.Samples = o.samples
-	sp.Steps = o.steps
-	sp.UseDuT = o.useDuT
-	sp.Cores = o.cores
-	sp.ChurnFlows = o.churnFlows
-	sp.ChurnLife = o.churnLife
-	if o.flows > 0 && o.flows != len(sp.Flows) {
+	switch name := args[0]; name {
+	case "list", "-list", "--list":
+		runList(stdout)
+		return nil
+	case "run":
+		if len(args) < 2 || strings.HasPrefix(args[1], "-") {
+			return errors.New("usage: moongen run <spec.yaml|spec.json> [flags]")
+		}
+		doc, err := spec.Load(args[1])
+		if err != nil {
+			return err
+		}
+		return runScenario(doc, args[2:], stdout, stderr)
+	default:
+		if _, ok := scenario.Get(name); !ok {
+			usage(stderr)
+			return fmt.Errorf("unknown scenario %q", name)
+		}
+		return runScenario(&spec.Document{File: name, Scenario: name}, args[1:], stdout, stderr)
+	}
+}
+
+// cliFlags are the flags that configure only this invocation: where
+// telemetry is written, a fault-plan file to load and a generic flow
+// count. They have no spec key.
+type cliFlags struct {
+	flows     int
+	telemetry string
+	faults    string
+}
+
+// newFlagSet registers the knob flags of doc and the CLI-only flags. It
+// returns the flag names in the order the usage line lists them: the
+// knob table's order, with each CLI-only flag before the knob it goes
+// with.
+func newFlagSet(doc *spec.Document) (*flag.FlagSet, *cliFlags, []string) {
+	fs := flag.NewFlagSet(doc.Scenario, flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	c := &cliFlags{}
+	fs.IntVar(&c.flows, "flows", 0, "declared flow count `N` (0 keeps the scenario's default flow set)")
+	fs.StringVar(&c.telemetry, "telemetry", "", "record windowed telemetry to `PATH` (.jsonl switches to JSONL, else CSV)")
+	fs.StringVar(&c.faults, "faults", "", "load a fault plan from `PATH` (a faults: block, YAML or JSON) onto the scenario")
+	before := map[string]string{"churn-flows": "flows", "telemetry-interval": "telemetry"}
+	var order []string
+	for _, name := range doc.RegisterFlags(fs) {
+		if cli, ok := before[name]; ok {
+			order = append(order, cli)
+		}
+		order = append(order, name)
+	}
+	return fs, c, append(order, "faults")
+}
+
+// runScenario applies the flags to doc, compiles it, wires the optional
+// telemetry file, executes and prints the report. It is the shared tail
+// of both `moongen <scenario>` and `moongen run`.
+func runScenario(doc *spec.Document, args []string, stdout, stderr io.Writer) error {
+	fs, c, _ := newFlagSet(doc)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			fmt.Fprintf(stderr, "usage: moongen %s [flags]\n", doc.Scenario)
+			fs.SetOutput(stderr)
+			fs.PrintDefaults()
+		}
+		return err
+	}
+	if err := doc.ApplyFlags(fs); err != nil {
+		return err
+	}
+	name, sp, err := doc.CompileWith(func(sp *scenario.Spec) error {
+		if c.flows <= 0 || c.flows == len(sp.Flows) {
+			return nil
+		}
 		// Resizing is only meaningful for scenarios whose flow set is
 		// the generic FlowSet; curated flow sets (qos's shaped EF/BE
 		// pair, spec-file flows with marks and rates) carry per-flow
 		// state a generic replacement would silently zero out, and
 		// scenarios declaring no flows never consume a flow count.
 		if !isGenericFlowSet(sp.Flows) {
-			fmt.Fprintf(os.Stderr, "scenario %s does not take a flow count; -flows only applies to flow-tracked scenarios\n", name)
-			return 2
+			return fmt.Errorf("scenario %s does not take a flow count; -flows only applies to flow-tracked scenarios", doc.Scenario)
 		}
-		sp.Flows = scenario.FlowSet(o.flows)
+		sp.Flows = scenario.FlowSet(c.flows)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
-	if o.faults != "" {
+	if c.faults != "" {
 		// A -faults file replaces the scenario's plan (if any) wholesale;
 		// Execute re-validates the merged spec, so a plan whose targets
 		// the topology lacks still fails closed before anything runs.
-		plan, err := spec.LoadFaults(o.faults)
+		plan, err := spec.LoadFaults(c.faults)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
+			return err
 		}
 		sp.Faults = plan
 	}
 
 	var telFile *os.File
-	if o.telemetry != "" {
-		if o.telemetryMS <= 0 {
-			fmt.Fprintln(os.Stderr, "-telemetry-interval must be > 0")
-			return 2
+	if c.telemetry != "" {
+		if sp.TelemetryInterval <= 0 {
+			sp.TelemetryInterval = sim.Millisecond
 		}
-		sp.TelemetryInterval = sim.FromSeconds(o.telemetryMS / 1e3)
-		sp.TelemetryJSONL = strings.HasSuffix(o.telemetry, ".jsonl")
-		sp.TelemetryDiag = o.telemetryDg
-		f, err := os.Create(o.telemetry)
+		sp.TelemetryJSONL = strings.HasSuffix(c.telemetry, ".jsonl")
+		f, err := os.Create(c.telemetry)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
+			return runError{err}
 		}
 		telFile = f
 		if sp.Cores <= 1 {
@@ -248,15 +176,17 @@ func runScenario(name string, sp scenario.Spec, args []string) int {
 		}
 	}
 
-	rep, err := scenario.Execute(name, sp, os.Stdout)
+	rep, err := scenario.Execute(name, sp, stdout)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
+		if telFile != nil {
+			telFile.Close()
+		}
+		return runError{err}
 	}
 	if telFile != nil {
 		if sp.TelemetryStream == nil {
 			if rep.Telemetry == nil {
-				fmt.Fprintf(os.Stderr, "telemetry: scenario %s produced no series (it bypasses the standard testbed)\n", name)
+				fmt.Fprintf(stderr, "telemetry: scenario %s produced no series (it bypasses the standard testbed)\n", name)
 			} else if sp.TelemetryJSONL {
 				err = rep.Telemetry.WriteJSONL(telFile, sp.TelemetryDiag)
 			} else {
@@ -267,12 +197,11 @@ func runScenario(name string, sp scenario.Spec, args []string) int {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "telemetry:", err)
-			return 1
+			return runError{fmt.Errorf("telemetry: %w", err)}
 		}
 	}
-	rep.Print(os.Stdout)
-	return 0
+	rep.Print(stdout)
+	return nil
 }
 
 // isGenericFlowSet reports whether flows is exactly the generic
@@ -299,22 +228,27 @@ func runList(w io.Writer) {
 	scenario.WriteList(w)
 }
 
-// synopsis renders the one-line flag summary from flagDefs.
+// synopsis renders the one-line flag summary from the registered flags;
+// each placeholder is the `quoted` word of the flag's usage text.
 func synopsis() string {
+	fs, _, order := newFlagSet(&spec.Document{})
 	var b strings.Builder
 	b.WriteString("usage: moongen <scenario>")
-	for _, d := range flagDefs {
-		b.WriteString(" [")
-		b.WriteString(d.synopsis)
+	for _, name := range order {
+		meta, _ := flag.UnquoteUsage(fs.Lookup(name))
+		b.WriteString(" [-" + name)
+		if meta != "" {
+			b.WriteString(" " + meta)
+		}
 		b.WriteString("]")
 	}
 	return b.String()
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, synopsis())
-	fmt.Fprintln(os.Stderr, "       moongen run <spec.yaml|spec.json> [flags]")
-	fmt.Fprintln(os.Stderr, "       moongen list")
-	fmt.Fprintln(os.Stderr)
-	runList(os.Stderr)
+func usage(w io.Writer) {
+	fmt.Fprintln(w, synopsis())
+	fmt.Fprintln(w, "       moongen run <spec.yaml|spec.json> [flags]")
+	fmt.Fprintln(w, "       moongen list")
+	fmt.Fprintln(w)
+	runList(w)
 }

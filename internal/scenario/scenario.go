@@ -7,9 +7,9 @@
 // ports, duplex link, optional DuT, mempools, stats reporters).
 //
 // Scenarios self-register in a global registry (Register, usually from
-// init). cmd/moongen, the examples and the tests all drive scenarios
-// through Execute, so adding a workload is one new file that registers
-// one new type.
+// init). cmd/moongen, spec files (internal/spec) and the tests all
+// drive scenarios through Execute, so adding a workload is one new file
+// that registers one new type.
 package scenario
 
 import (

@@ -1,12 +1,13 @@
 package spec
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 
 	"repro/internal/fault"
@@ -24,15 +25,16 @@ import (
 const Version = 1
 
 // Document is a parsed scenario spec: the scenario it composes plus the
-// overlay of every field the file sets. Fields the file does not set
-// stay nil and fall through to the registered scenario's DefaultSpec at
-// Compile time, so a spec only says what it changes.
+// overrides the file sets. What the file does not set falls through to
+// the registered scenario's DefaultSpec at Compile time, so a spec only
+// says what it changes.
 //
 // Parse performs the full schema walk (unknown keys, types, units);
-// Compile overlays onto the scenario's defaults and runs the semantic
+// ApplyFlags adds the CLI's knob flags after the file's overrides;
+// Compile applies them to the scenario's defaults and runs the semantic
 // checks that need the merged view (pattern/rate coherence, link
-// capacity, core sharding). Both stages anchor every error to the
-// source line.
+// capacity, core sharding). Every error names the line or flag it comes
+// from.
 type Document struct {
 	// File is the name errors are anchored to.
 	File string
@@ -43,43 +45,16 @@ type Document struct {
 
 	scenarioLine int
 
-	seed    *int64
-	runtime *sim.Duration
-	cores   *int
-	batch   *int
+	// overrides are the knob values set, in file order and then flags;
+	// a later one for the same knob wins.
+	overrides []override
 
-	pattern *scenario.Pattern
-	rate    *float64
-	size    *int
-	burst   *int
-	steps   *int
-	mix     []scenario.SizeShare
+	// The list-valued blocks; nil when the file leaves them out.
+	mix    []scenario.SizeShare
+	flows  []scenario.Flow
+	faults fault.Plan
 
-	flows    []scenario.Flow
-	hasFlows bool
-
-	churnFlows *int
-	churnLife  *int
-
-	probes  *int
-	samples *int
-
-	dut *bool
-
-	telemetryInterval *sim.Duration
-	telemetryDiag     *bool
-
-	faults    fault.Plan
-	hasFaults bool
-
-	runtimeLine    int
-	coresLine      int
-	patternLine    int
-	rateLine       int
-	sizeLine       int
-	flowsLine      int
-	churnFlowsLine int
-	faultsLine     int
+	flowsLine, faultsLine int
 }
 
 // Load reads and parses a spec file (YAML by default, JSON when the
@@ -95,15 +70,7 @@ func Load(path string) (*Document, error) {
 // Parse parses a spec from bytes; name labels error messages
 // ("name:line: ...").
 func Parse(src []byte, name string) (*Document, error) {
-	var (
-		root *node
-		err  error
-	)
-	if isJSON(src, name) {
-		root, err = parseJSON(name, src)
-	} else {
-		root, err = parseYAML(name, src)
-	}
+	root, err := parseTree(src, name)
 	if err != nil {
 		return nil, err
 	}
@@ -112,6 +79,15 @@ func Parse(src []byte, name string) (*Document, error) {
 		return nil, err
 	}
 	return d, nil
+}
+
+// parseTree reads YAML by default, JSON when the name ends in .json or
+// the source starts with '{'.
+func parseTree(src []byte, name string) (*node, error) {
+	if isJSON(src, name) {
+		return parseJSON(name, src)
+	}
+	return parseYAML(name, src)
 }
 
 // LoadFaults reads a standalone fault-plan file: a document whose root
@@ -129,15 +105,7 @@ func LoadFaults(path string) (fault.Plan, error) {
 // error messages. The plan is validated fail-closed, target
 // availability aside (that needs the topology and happens at Execute).
 func ParseFaults(src []byte, name string) (fault.Plan, error) {
-	var (
-		root *node
-		err  error
-	)
-	if isJSON(src, name) {
-		root, err = parseJSON(name, src)
-	} else {
-		root, err = parseYAML(name, src)
-	}
+	root, err := parseTree(src, name)
 	if err != nil {
 		return nil, err
 	}
@@ -174,110 +142,69 @@ func Validate(src []byte, name string) error {
 }
 
 // Compile resolves the document into a runnable (scenario name,
-// scenario.Spec) pair: the registered scenario's DefaultSpec overlaid
-// with every field the file sets, then semantically validated as a
-// whole. All interpretation happens here, at load time — the returned
-// Spec drives exactly the same compiled-Go path as `moongen <name>`,
-// so nothing spec-shaped survives into the hot path.
+// scenario.Spec) pair: the registered scenario's DefaultSpec with every
+// override applied, then semantically validated as a whole. All
+// interpretation happens here, at load time — the returned Spec drives
+// exactly the same compiled-Go path as `moongen <name>`, so nothing
+// spec-shaped survives into the hot path.
 func (d *Document) Compile() (string, scenario.Spec, error) {
-	sc, ok := scenario.Get(d.Scenario)
-	if !ok {
-		return "", scenario.Spec{}, d.errAt(d.scenarioLine,
-			"scenario: unknown scenario %q (available: %s)", d.Scenario, strings.Join(scenario.Names(), ", "))
+	return d.CompileWith(nil)
+}
+
+// CompileWith is Compile with edit applied to the merged spec before the
+// checks run (the CLI resizes the flow set there); edit may be nil.
+func (d *Document) CompileWith(edit func(*scenario.Spec) error) (string, scenario.Spec, error) {
+	sc, s, err := d.merge()
+	if err == nil && edit != nil {
+		err = edit(&s)
 	}
-	s := sc.DefaultSpec()
-	if d.seed != nil {
-		s.Seed = *d.seed
+	if err == nil {
+		err = d.check(sc, s)
 	}
-	if d.runtime != nil {
-		s.Runtime = *d.runtime
-	}
-	if d.cores != nil {
-		s.Cores = *d.cores
-	}
-	if d.batch != nil {
-		s.Batch = *d.batch
-	}
-	if d.pattern != nil {
-		s.Pattern = *d.pattern
-	}
-	if d.rate != nil {
-		s.RateMpps = *d.rate
-	}
-	if d.size != nil {
-		s.PktSize = *d.size
-	}
-	if d.burst != nil {
-		s.Burst = *d.burst
-	}
-	if d.steps != nil {
-		s.Steps = *d.steps
-	}
-	if d.mix != nil {
-		s.Mix = d.mix
-	}
-	if d.hasFlows {
-		s.Flows = d.flows
-	}
-	if d.churnFlows != nil {
-		s.ChurnFlows = *d.churnFlows
-	}
-	if d.churnLife != nil {
-		s.ChurnLife = *d.churnLife
-	}
-	if d.probes != nil {
-		s.Probes = *d.probes
-	}
-	if d.samples != nil {
-		s.Samples = *d.samples
-	}
-	if d.dut != nil {
-		s.UseDuT = *d.dut
-	}
-	if d.telemetryInterval != nil {
-		s.TelemetryInterval = *d.telemetryInterval
-	}
-	if d.telemetryDiag != nil {
-		s.TelemetryDiag = *d.telemetryDiag
-	}
-	if d.hasFaults {
-		// An explicit `faults:` block replaces the scenario's default
-		// plan entirely — `faults: []` runs the scenario fault-free.
-		s.Faults = d.faults
-	}
-	if err := d.check(sc, s); err != nil {
+	if err != nil {
 		return "", scenario.Spec{}, err
 	}
 	return d.Scenario, s, nil
 }
 
-// check runs the semantic validations that need the merged
-// (defaults + overlay) view of the spec.
-func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
-	anchor := func(line int) int {
-		if line > 0 {
-			return line
-		}
-		return d.scenarioLine
+// merge applies the document to its scenario's DefaultSpec, unchecked.
+func (d *Document) merge() (scenario.Scenario, scenario.Spec, error) {
+	sc, ok := scenario.Get(d.Scenario)
+	if !ok {
+		return nil, scenario.Spec{}, d.errAt(d.scenarioLine,
+			"scenario: unknown scenario %q (available: %s)", d.Scenario, strings.Join(scenario.Names(), ", "))
 	}
+	s := sc.DefaultSpec()
+	for _, o := range d.overrides {
+		o.k.set(&s, o.val)
+	}
+	if d.mix != nil {
+		s.Mix = d.mix
+	}
+	if d.flows != nil {
+		s.Flows = d.flows
+	}
+	if d.faults != nil {
+		// An explicit `faults:` block replaces the scenario's default
+		// plan entirely — `faults: []` runs the scenario fault-free.
+		s.Faults = d.faults
+	}
+	return sc, s, nil
+}
 
+// check runs the semantic validations that need the merged
+// (defaults + overrides) view of the spec. A block's error anchors to
+// the block's line, or to the scenario line when the block came from
+// the defaults.
+func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 	if s.Cores > 1 {
 		if sco, ok := sc.(scenario.SingleCoreOnly); ok {
-			return d.errAt(anchor(d.coresLine),
-				"cores: scenario %q is single-core only (%s); remove cores or set it to 1", d.Scenario, sco.SingleCoreOnly())
+			return d.errFor("cores", "scenario %q is single-core only (%s); remove cores or set it to 1", d.Scenario, sco.SingleCoreOnly())
 		}
 	}
 
-	switch s.Pattern {
-	case scenario.PatternLineRate, "":
-	case scenario.PatternCBR, scenario.PatternSoftCBR, scenario.PatternPoisson, scenario.PatternBursts:
-		if s.RateMpps <= 0 && !flowsCarryRate(s) {
-			return d.errAt(anchor(d.patternLine),
-				"load.pattern: pattern %q needs a rate; set load.rate (e.g. \"2mpps\")", s.Pattern)
-		}
-	default:
-		return d.errAt(anchor(d.patternLine),
-			"load.pattern: unknown pattern %q (one of: linerate, cbr, softcbr, poisson, bursts)", s.Pattern)
+	if s.Pattern != scenario.PatternLineRate && s.Pattern != "" && s.RateMpps <= 0 && !flowsCarryRate(s) {
+		return d.errFor("load.pattern", "pattern %q needs a rate; set load.rate (e.g. \"2mpps\")", s.Pattern)
 	}
 
 	// The cbr pattern models the NIC's hardware shaper, which cannot
@@ -292,8 +219,8 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 		}
 		capMpps := wire.LineRatePPS(wire.Speed10G, size+proto.FCSLen) / 1e6
 		if s.RateMpps > capMpps {
-			return d.errAt(anchor(d.rateLine),
-				"load.rate: %g Mpps exceeds the 10GbE line rate (%.2f Mpps at %d-byte frames) — the cbr hardware shaper cannot oversubscribe the link; use pattern softcbr to model overload",
+			return d.errFor("load.rate",
+				"%g Mpps exceeds the 10GbE line rate (%.2f Mpps at %d-byte frames) — the cbr hardware shaper cannot oversubscribe the link; use pattern softcbr to model overload",
 				s.RateMpps, capMpps, size+proto.FCSLen)
 		}
 		for _, f := range s.Flows {
@@ -306,10 +233,23 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 			}
 			fcap := wire.LineRatePPS(wire.Speed10G, fsize+proto.FCSLen) / 1e6
 			if f.RateMpps > fcap {
-				return d.errAt(anchor(d.flowsLine),
+				return d.errAt(cmp.Or(d.flowsLine, d.scenarioLine),
 					"flows: flow %q rate %g Mpps exceeds the 10GbE line rate (%.2f Mpps at %d-byte frames)",
 					f.Name, f.RateMpps, fcap, fsize+proto.FCSLen)
 			}
+		}
+	}
+
+	// Fault plans are fail-closed at load time: a plan the injector
+	// would reject (or one whose targets the topology cannot provide)
+	// is a spec error with a line anchor, not a runtime surprise.
+	if len(s.Faults) > 0 {
+		if err := s.Faults.Validate(); err != nil {
+			return d.errAt(cmp.Or(d.faultsLine, d.scenarioLine), "faults: %v", err)
+		}
+		if s.Faults.RequiresDuT() && !s.UseDuT {
+			return d.errAt(cmp.Or(d.faultsLine, d.scenarioLine),
+				"faults: the plan contains dut-stall events but the topology has no DuT — set topology.dut: true")
 		}
 	}
 
@@ -318,26 +258,13 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 	// only flow-preserving when cores divides the flow population.
 	// Catching it here anchors the error to the spec line instead of
 	// failing later inside the run.
-	// Fault plans are fail-closed at load time: a plan the injector
-	// would reject (or one whose targets the topology cannot provide)
-	// is a spec error with a line anchor, not a runtime surprise.
-	if len(s.Faults) > 0 {
-		if err := s.Faults.Validate(); err != nil {
-			return d.errAt(anchor(d.faultsLine), "faults: %v", err)
-		}
-		if s.Faults.RequiresDuT() && !s.UseDuT {
-			return d.errAt(anchor(d.faultsLine),
-				"faults: the plan contains dut-stall events but the topology has no DuT — set topology.dut: true")
-		}
-	}
-
 	if s.Cores > 1 {
 		switch d.Scenario {
 		case "loss-overload", "reorder", "linkflap", "overload-recover":
 			n := len(s.EffectiveFlows())
 			if n%s.Cores != 0 {
-				return d.errAt(anchor(d.coresLine),
-					"cores: %d does not divide the flow count (%d) for scenario %q — every flow must live wholly in one shard", s.Cores, n, d.Scenario)
+				return d.errFor("cores",
+					"%d does not divide the flow count (%d) for scenario %q — every flow must live wholly in one shard", s.Cores, n, d.Scenario)
 			}
 		case "churn":
 			w := s.ChurnFlows
@@ -345,8 +272,8 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 				w = 1024
 			}
 			if w%s.Cores != 0 {
-				return d.errAt(anchor(d.coresLine),
-					"cores: %d does not divide the churn working set (%d) — every flow must live wholly in one shard", s.Cores, w)
+				return d.errFor("cores",
+					"%d does not divide the churn working set (%d) — every flow must live wholly in one shard", s.Cores, w)
 			}
 		}
 	}
@@ -354,7 +281,7 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 	seen := map[string]bool{}
 	for _, f := range s.Flows {
 		if seen[f.Name] {
-			return d.errAt(anchor(d.flowsLine), "flows: duplicate flow name %q (reports merge per-flow stats by name)", f.Name)
+			return d.errAt(cmp.Or(d.flowsLine, d.scenarioLine), "flows: duplicate flow name %q (reports merge per-flow stats by name)", f.Name)
 		}
 		seen[f.Name] = true
 	}
@@ -393,29 +320,54 @@ func isJSON(src []byte, name string) bool {
 	return false
 }
 
+// errAt anchors an error to a source line, or to the file alone when
+// line is 0 (a document built for a named scenario has no lines).
 func (d *Document) errAt(line int, format string, args ...any) error {
+	if line == 0 {
+		return fmt.Errorf("%s: %s", d.File, fmt.Sprintf(format, args...))
+	}
 	return fmt.Errorf("%s:%d: %s", d.File, line, fmt.Sprintf(format, args...))
+}
+
+// errFor anchors a check on the knob at key to whatever set it last:
+// its flag, its spec line, or else the scenario line.
+func (d *Document) errFor(key, format string, args ...any) error {
+	msg := fmt.Sprintf(format, args...)
+	for i := len(d.overrides) - 1; i >= 0; i-- {
+		if o := d.overrides[i]; o.k.key == key {
+			if o.line == 0 {
+				return fmt.Errorf("-%s: %s", o.k.flag, msg)
+			}
+			return d.errAt(o.line, "%s: %s", key, msg)
+		}
+	}
+	return d.errAt(d.scenarioLine, "%s: %s", key, msg)
 }
 
 // ---------------------------------------------------------------------
 // Schema walk
 // ---------------------------------------------------------------------
 
-var topKeys = []string{"version", "scenario", "description", "seed", "runtime", "cores", "batch", "load", "flows", "churn", "probes", "topology", "telemetry", "faults"}
-var loadKeys = []string{"pattern", "rate", "size", "burst", "steps", "mix"}
+// headerKeys are the top-level keys that name the document rather than
+// set a knob.
+var headerKeys = []string{"version", "scenario", "description"}
+
+// blocks are the list-valued keys; each has its own walker.
+var blocks = map[string]func(*Document, *node, int) error{
+	"load.mix": (*Document).walkMix,
+	"flows":    (*Document).walkFlows,
+	"faults":   (*Document).walkFaults,
+}
+
 var mixKeys = []string{"size", "weight"}
 var flowKeys = []string{"name", "l4", "src_ip", "src_ip_count", "dst_ip", "src_port", "dst_port", "tos", "rate", "size"}
-var churnKeys = []string{"flows", "life"}
-var probesKeys = []string{"latency", "samples"}
-var topologyKeys = []string{"dut"}
-var telemetryKeys = []string{"interval", "diag"}
 var faultKeys = []string{"kind", "at", "duration", "period", "count", "flush", "offset", "drift_ppm"}
 
 func (d *Document) walk(root *node) error {
 	if root.kind != mapNode {
 		return d.errAt(root.line, "the document root must be a mapping (\"key: value\" lines), got a %s", root.kindName())
 	}
-	if err := d.checkKeys(root, topKeys, ""); err != nil {
+	if err := d.checkKeys(root, allowedKeys[""], ""); err != nil {
 		return err
 	}
 
@@ -423,7 +375,7 @@ func (d *Document) walk(root *node) error {
 	if !ok {
 		return d.errAt(1, "missing required key \"version\" (this build reads version %d)", Version)
 	}
-	v, err := d.intField(vn, line, "version", 1, math.MaxInt32)
+	v, err := field(d, vn, line, "version", intIn(1, math.MaxInt32))
 	if err != nil {
 		return err
 	}
@@ -435,170 +387,119 @@ func (d *Document) walk(root *node) error {
 	if !ok {
 		return d.errAt(1, "missing required key \"scenario\" (one of: %s)", strings.Join(scenario.Names(), ", "))
 	}
-	d.Scenario, err = d.strField(sn, line, "scenario")
-	if err != nil {
+	if d.Scenario, err = field(d, sn, line, "scenario", parseStr); err != nil {
 		return err
 	}
 	d.scenarioLine = line
 
-	if n, line, ok := root.get("description"); ok {
-		if d.Description, err = d.strField(n, line, "description"); err != nil {
+	if err := opt(d, root, "", "description", parseStr, func(v string) { d.Description = v }); err != nil {
+		return err
+	}
+	return d.walkMap(root, "")
+}
+
+// walkMap reads the knobs, sections and blocks of mapping m, whose keys
+// sit at path prefix ("" at the root, "load." inside load).
+func (d *Document) walkMap(m *node, prefix string) error {
+	for i, key := range m.keys {
+		n, line, path := m.vals[i], m.keyLines[i], prefix+key
+		if k := knobAt(path); k != nil {
+			v, err := field(d, n, line, path, func(raw string) (any, error) { return k.parse(raw, false) })
+			if err != nil {
+				return err
+			}
+			d.overrides = append(d.overrides, override{k: k, val: v, line: line})
+			continue
+		}
+		if walk := blocks[path]; walk != nil {
+			if err := walk(d, n, line); err != nil {
+				return err
+			}
+			continue
+		}
+		if prefix == "" && slices.Contains(headerKeys, key) {
+			continue
+		}
+		// checkKeys admitted it, so it is a section of knobs.
+		if n.kind != mapNode {
+			return d.errAt(line, "%s: expected a mapping, got a %s", path, n.kindName())
+		}
+		if err := d.checkKeys(n, allowedKeys[path+"."], path+"."); err != nil {
 			return err
 		}
-	}
-	if n, line, ok := root.get("seed"); ok {
-		v, err := d.intField(n, line, "seed", math.MinInt64, math.MaxInt64)
-		if err != nil {
-			return err
-		}
-		d.seed = &v
-	}
-	if n, line, ok := root.get("runtime"); ok {
-		v, err := d.durField(n, line, "runtime")
-		if err != nil {
-			return err
-		}
-		d.runtime, d.runtimeLine = &v, line
-	}
-	if n, line, ok := root.get("cores"); ok {
-		v, err := d.intField(n, line, "cores", 1, 1024)
-		if err != nil {
-			return err
-		}
-		c := int(v)
-		d.cores, d.coresLine = &c, line
-	}
-	if n, line, ok := root.get("batch"); ok {
-		v, err := d.intField(n, line, "batch", 1, 512)
-		if err != nil {
-			return err
-		}
-		b := int(v)
-		d.batch = &b
-	}
-	if n, line, ok := root.get("load"); ok {
-		if err := d.walkLoad(n, line); err != nil {
-			return err
-		}
-	}
-	if n, line, ok := root.get("flows"); ok {
-		if err := d.walkFlows(n, line); err != nil {
-			return err
-		}
-	}
-	if n, line, ok := root.get("churn"); ok {
-		if err := d.walkChurn(n, line); err != nil {
-			return err
-		}
-	}
-	if n, line, ok := root.get("probes"); ok {
-		if err := d.walkProbes(n, line); err != nil {
-			return err
-		}
-	}
-	if n, line, ok := root.get("topology"); ok {
-		if err := d.walkTopology(n, line); err != nil {
-			return err
-		}
-	}
-	if n, line, ok := root.get("telemetry"); ok {
-		if err := d.walkTelemetry(n, line); err != nil {
-			return err
-		}
-	}
-	if n, line, ok := root.get("faults"); ok {
-		if err := d.walkFaults(n, line); err != nil {
+		if err := d.walkMap(n, path+"."); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (d *Document) walkLoad(n *node, line int) error {
-	if n.kind != mapNode {
-		return d.errAt(line, "load: expected a mapping, got a %s", n.kindName())
+func knobAt(key string) *knob {
+	for _, k := range knobs {
+		if k.key == key {
+			return k
+		}
 	}
-	if err := d.checkKeys(n, loadKeys, "load."); err != nil {
-		return err
+	return nil
+}
+
+// allowedKeys maps the path prefix of each mapping ("" at the root,
+// "load." inside load) to the keys it admits, sorted. Keys nest at most
+// one section deep.
+var allowedKeys = func() map[string][]string {
+	m := map[string][]string{"": slices.Clone(headerKeys)}
+	add := func(prefix, key string) {
+		if !slices.Contains(m[prefix], key) {
+			m[prefix] = append(m[prefix], key)
+		}
 	}
-	if pn, pline, ok := n.get("pattern"); ok {
-		v, err := d.strField(pn, pline, "load.pattern")
-		if err != nil {
+	paths := slices.Collect(maps.Keys(blocks))
+	for _, k := range knobs {
+		paths = append(paths, k.key)
+	}
+	for _, path := range paths {
+		section, key, nested := strings.Cut(path, ".")
+		add("", section)
+		if nested {
+			add(section+".", key)
+		}
+	}
+	for _, keys := range m {
+		slices.Sort(keys)
+	}
+	return m
+}()
+
+func (d *Document) walkMix(n *node, line int) error {
+	if n.kind != listNode {
+		return d.errAt(line, "load.mix: expected a list of {size, weight} entries, got a %s", n.kindName())
+	}
+	mix := make([]scenario.SizeShare, 0, len(n.items))
+	for _, item := range n.items {
+		if item.kind != mapNode {
+			return d.errAt(item.line, "load.mix: each entry must be a {size, weight} mapping, got a %s", item.kindName())
+		}
+		if err := d.checkKeys(item, mixKeys, "load.mix."); err != nil {
 			return err
 		}
-		p := scenario.Pattern(v)
-		switch p {
-		case scenario.PatternLineRate, scenario.PatternCBR, scenario.PatternSoftCBR, scenario.PatternPoisson, scenario.PatternBursts:
-		default:
-			return d.errAt(pline, "load.pattern: unknown pattern %q (one of: linerate, cbr, softcbr, poisson, bursts)", v)
+		var share scenario.SizeShare
+		for _, key := range mixKeys {
+			if _, _, ok := item.get(key); !ok {
+				return d.errAt(item.line, "load.mix: entry is missing %q", key)
+			}
 		}
-		d.pattern, d.patternLine = &p, pline
-	}
-	if rn, rline, ok := n.get("rate"); ok {
-		v, err := d.rateField(rn, rline, "load.rate")
-		if err != nil {
+		if err := cmp.Or(
+			opt(d, item, "load.mix.", "size", intIn(minFrame, maxFrame), func(v int64) { share.Size = int(v) }),
+			opt(d, item, "load.mix.", "weight", intIn(1, math.MaxInt32), func(v int64) { share.Weight = int(v) }),
+		); err != nil {
 			return err
 		}
-		d.rate, d.rateLine = &v, rline
+		mix = append(mix, share)
 	}
-	if sn, sline, ok := n.get("size"); ok {
-		v, err := d.frameSize(sn, sline, "load.size")
-		if err != nil {
-			return err
-		}
-		d.size, d.sizeLine = &v, sline
+	if len(mix) == 0 {
+		return d.errAt(line, "load.mix: the mix cannot be empty")
 	}
-	if bn, bline, ok := n.get("burst"); ok {
-		v, err := d.intField(bn, bline, "load.burst", 1, 4096)
-		if err != nil {
-			return err
-		}
-		b := int(v)
-		d.burst = &b
-	}
-	if sn, sline, ok := n.get("steps"); ok {
-		v, err := d.intField(sn, sline, "load.steps", 1, 1024)
-		if err != nil {
-			return err
-		}
-		s := int(v)
-		d.steps = &s
-	}
-	if mn, mline, ok := n.get("mix"); ok {
-		if mn.kind != listNode {
-			return d.errAt(mline, "load.mix: expected a list of {size, weight} entries, got a %s", mn.kindName())
-		}
-		mix := make([]scenario.SizeShare, 0, len(mn.items))
-		for _, item := range mn.items {
-			if item.kind != mapNode {
-				return d.errAt(item.line, "load.mix: each entry must be a {size, weight} mapping, got a %s", item.kindName())
-			}
-			if err := d.checkKeys(item, mixKeys, "load.mix."); err != nil {
-				return err
-			}
-			sn, sline, ok := item.get("size")
-			if !ok {
-				return d.errAt(item.line, "load.mix: entry is missing \"size\"")
-			}
-			size, err := d.frameSize(sn, sline, "load.mix.size")
-			if err != nil {
-				return err
-			}
-			wn, wline, ok := item.get("weight")
-			if !ok {
-				return d.errAt(item.line, "load.mix: entry is missing \"weight\"")
-			}
-			w, err := d.intField(wn, wline, "load.mix.weight", 1, math.MaxInt32)
-			if err != nil {
-				return err
-			}
-			mix = append(mix, scenario.SizeShare{Size: size, Weight: int(w)})
-		}
-		if len(mix) == 0 {
-			return d.errAt(mline, "load.mix: the mix cannot be empty")
-		}
-		d.mix = mix
-	}
+	d.mix = mix
 	return nil
 }
 
@@ -607,7 +508,6 @@ func (d *Document) walkFlows(n *node, line int) error {
 		return d.errAt(line, "flows: expected a list of flow mappings, got a %s", n.kindName())
 	}
 	d.flowsLine = line
-	d.hasFlows = true
 	d.flows = make([]scenario.Flow, 0, len(n.items))
 	for i, item := range n.items {
 		if item.kind != mapNode {
@@ -616,182 +516,38 @@ func (d *Document) walkFlows(n *node, line int) error {
 		if err := d.checkKeys(item, flowKeys, "flows."); err != nil {
 			return err
 		}
-		f := scenario.Flow{L4: "udp"}
-		if nn, nline, ok := item.get("name"); ok {
-			v, err := d.strField(nn, nline, "flows.name")
-			if err != nil {
-				return err
-			}
-			f.Name = v
-		} else {
-			f.Name = fmt.Sprintf("f%d", i)
-		}
-		if ln, lline, ok := item.get("l4"); ok {
-			v, err := d.strField(ln, lline, "flows.l4")
-			if err != nil {
-				return err
-			}
-			if v != "udp" && v != "tcp" {
-				return d.errAt(lline, "flows.l4: unknown transport %q (one of: udp, tcp)", v)
-			}
-			f.L4 = v
-		}
-		sn, sline, ok := item.get("src_ip")
-		if !ok {
-			return d.errAt(item.line, "flows: flow %q is missing \"src_ip\"", f.Name)
-		}
-		ip, err := d.ipField(sn, sline, "flows.src_ip")
-		if err != nil {
+		f := scenario.Flow{Name: fmt.Sprintf("f%d", i), L4: "udp"}
+		if err := opt(d, item, "flows.", "name", parseStr, func(v string) { f.Name = v }); err != nil {
 			return err
 		}
-		f.SrcIP = ip
-		if cn, cline, ok := item.get("src_ip_count"); ok {
-			v, err := d.intField(cn, cline, "flows.src_ip_count", 1, 1<<24)
-			if err != nil {
-				return err
+		for _, key := range []string{"src_ip", "dst_ip"} {
+			if _, _, ok := item.get(key); !ok {
+				return d.errAt(item.line, "flows: flow %q is missing %q", f.Name, key)
 			}
-			f.SrcIPCount = int(v)
 		}
-		dn, dline, ok := item.get("dst_ip")
-		if !ok {
-			return d.errAt(item.line, "flows: flow %q is missing \"dst_ip\"", f.Name)
-		}
-		ip, err = d.ipField(dn, dline, "flows.dst_ip")
-		if err != nil {
+		if err := cmp.Or(
+			opt(d, item, "flows.", "l4", parseL4, func(v string) { f.L4 = v }),
+			opt(d, item, "flows.", "src_ip", parseIP, func(v proto.IPv4) { f.SrcIP = v }),
+			opt(d, item, "flows.", "src_ip_count", intIn(1, 1<<24), func(v int64) { f.SrcIPCount = int(v) }),
+			opt(d, item, "flows.", "dst_ip", parseIP, func(v proto.IPv4) { f.DstIP = v }),
+			opt(d, item, "flows.", "src_port", intIn(0, 65535), func(v int64) { f.SrcPort = uint16(v) }),
+			opt(d, item, "flows.", "dst_port", intIn(0, 65535), func(v int64) { f.DstPort = uint16(v) }),
+			opt(d, item, "flows.", "tos", intIn(0, 255), func(v int64) { f.TOS = uint8(v) }),
+			opt(d, item, "flows.", "rate", parseRate, func(v float64) { f.RateMpps = v }),
+			opt(d, item, "flows.", "size", intIn(minFrame, maxFrame), func(v int64) { f.PktSize = int(v) }),
+		); err != nil {
 			return err
-		}
-		f.DstIP = ip
-		if pn, pline, ok := item.get("src_port"); ok {
-			v, err := d.intField(pn, pline, "flows.src_port", 0, 65535)
-			if err != nil {
-				return err
-			}
-			f.SrcPort = uint16(v)
-		}
-		if pn, pline, ok := item.get("dst_port"); ok {
-			v, err := d.intField(pn, pline, "flows.dst_port", 0, 65535)
-			if err != nil {
-				return err
-			}
-			f.DstPort = uint16(v)
-		}
-		if tn, tline, ok := item.get("tos"); ok {
-			v, err := d.intField(tn, tline, "flows.tos", 0, 255)
-			if err != nil {
-				return err
-			}
-			f.TOS = uint8(v)
-		}
-		if rn, rline, ok := item.get("rate"); ok {
-			v, err := d.rateField(rn, rline, "flows.rate")
-			if err != nil {
-				return err
-			}
-			f.RateMpps = v
-		}
-		if zn, zline, ok := item.get("size"); ok {
-			v, err := d.frameSize(zn, zline, "flows.size")
-			if err != nil {
-				return err
-			}
-			f.PktSize = v
 		}
 		d.flows = append(d.flows, f)
 	}
 	return nil
 }
 
-func (d *Document) walkChurn(n *node, line int) error {
-	if n.kind != mapNode {
-		return d.errAt(line, "churn: expected a mapping, got a %s", n.kindName())
+func parseL4(raw string) (string, error) {
+	if raw != "udp" && raw != "tcp" {
+		return "", fmt.Errorf("unknown transport %q (one of: udp, tcp)", raw)
 	}
-	if err := d.checkKeys(n, churnKeys, "churn."); err != nil {
-		return err
-	}
-	if fn, fline, ok := n.get("flows"); ok {
-		v, err := d.intField(fn, fline, "churn.flows", 1, 1<<28)
-		if err != nil {
-			return err
-		}
-		w := int(v)
-		d.churnFlows, d.churnFlowsLine = &w, fline
-	}
-	if ln, lline, ok := n.get("life"); ok {
-		v, err := d.intField(ln, lline, "churn.life", 1, math.MaxInt32)
-		if err != nil {
-			return err
-		}
-		l := int(v)
-		d.churnLife = &l
-	}
-	return nil
-}
-
-func (d *Document) walkProbes(n *node, line int) error {
-	if n.kind != mapNode {
-		return d.errAt(line, "probes: expected a mapping, got a %s", n.kindName())
-	}
-	if err := d.checkKeys(n, probesKeys, "probes."); err != nil {
-		return err
-	}
-	if ln, lline, ok := n.get("latency"); ok {
-		v, err := d.intField(ln, lline, "probes.latency", 0, math.MaxInt32)
-		if err != nil {
-			return err
-		}
-		p := int(v)
-		d.probes = &p
-	}
-	if sn, sline, ok := n.get("samples"); ok {
-		v, err := d.intField(sn, sline, "probes.samples", 0, math.MaxInt32)
-		if err != nil {
-			return err
-		}
-		s := int(v)
-		d.samples = &s
-	}
-	return nil
-}
-
-func (d *Document) walkTopology(n *node, line int) error {
-	if n.kind != mapNode {
-		return d.errAt(line, "topology: expected a mapping, got a %s", n.kindName())
-	}
-	if err := d.checkKeys(n, topologyKeys, "topology."); err != nil {
-		return err
-	}
-	if dn, dline, ok := n.get("dut"); ok {
-		v, err := d.boolField(dn, dline, "topology.dut")
-		if err != nil {
-			return err
-		}
-		d.dut = &v
-	}
-	return nil
-}
-
-func (d *Document) walkTelemetry(n *node, line int) error {
-	if n.kind != mapNode {
-		return d.errAt(line, "telemetry: expected a mapping, got a %s", n.kindName())
-	}
-	if err := d.checkKeys(n, telemetryKeys, "telemetry."); err != nil {
-		return err
-	}
-	if in, iline, ok := n.get("interval"); ok {
-		v, err := d.durField(in, iline, "telemetry.interval")
-		if err != nil {
-			return err
-		}
-		d.telemetryInterval = &v
-	}
-	if dn, dline, ok := n.get("diag"); ok {
-		v, err := d.boolField(dn, dline, "telemetry.diag")
-		if err != nil {
-			return err
-		}
-		d.telemetryDiag = &v
-	}
-	return nil
+	return raw, nil
 }
 
 // walkFaults reads the `faults:` block — a list of typed fault events
@@ -805,7 +561,6 @@ func (d *Document) walkFaults(n *node, line int) error {
 		return d.errAt(line, "faults: expected a list of fault event mappings, got a %s", n.kindName())
 	}
 	d.faultsLine = line
-	d.hasFaults = true
 	d.faults = make(fault.Plan, 0, len(n.items))
 	for _, item := range n.items {
 		if item.kind != mapNode {
@@ -814,78 +569,34 @@ func (d *Document) walkFaults(n *node, line int) error {
 		if err := d.checkKeys(item, faultKeys, "faults."); err != nil {
 			return err
 		}
-		var ev fault.Event
-		kn, kline, ok := item.get("kind")
-		if !ok {
+		if _, _, ok := item.get("kind"); !ok {
 			return d.errAt(item.line, "faults: event is missing \"kind\" (one of: linkflap, dut-stall, queue-pause, clock-step)")
 		}
-		kind, err := d.strField(kn, kline, "faults.kind")
-		if err != nil {
-			return err
-		}
-		switch fault.Kind(kind) {
-		case fault.LinkFlap, fault.DuTStall, fault.QueuePause, fault.ClockStep:
-			ev.Kind = fault.Kind(kind)
-		default:
-			return d.errAt(kline, "faults.kind: unknown fault kind %q (one of: linkflap, dut-stall, queue-pause, clock-step)", kind)
-		}
-		if an, aline, ok := item.get("at"); ok {
-			v, err := d.durFieldZero(an, aline, "faults.at")
-			if err != nil {
-				return err
-			}
-			ev.At = v
-		}
-		if dn, dline, ok := item.get("duration"); ok {
-			v, err := d.durField(dn, dline, "faults.duration")
-			if err != nil {
-				return err
-			}
-			ev.Duration = v
-		}
-		if pn, pline, ok := item.get("period"); ok {
-			v, err := d.durField(pn, pline, "faults.period")
-			if err != nil {
-				return err
-			}
-			ev.Period = v
-		}
-		if cn, cline, ok := item.get("count"); ok {
-			v, err := d.intField(cn, cline, "faults.count", 1, math.MaxInt32)
-			if err != nil {
-				return err
-			}
-			ev.Count = int(v)
-		}
-		if fn, fline, ok := item.get("flush"); ok {
-			v, err := d.boolField(fn, fline, "faults.flush")
-			if err != nil {
-				return err
-			}
-			ev.Flush = v
-		}
-		if on, oline, ok := item.get("offset"); ok {
+		var ev fault.Event
+		if err := cmp.Or(
+			opt(d, item, "faults.", "kind", parseFaultKind, func(v fault.Kind) { ev.Kind = v }),
+			opt(d, item, "faults.", "at", nonNegativeDuration, func(v sim.Duration) { ev.At = v }),
+			opt(d, item, "faults.", "duration", positiveDuration, func(v sim.Duration) { ev.Duration = v }),
+			opt(d, item, "faults.", "period", positiveDuration, func(v sim.Duration) { ev.Period = v }),
+			opt(d, item, "faults.", "count", intIn(1, math.MaxInt32), func(v int64) { ev.Count = int(v) }),
+			opt(d, item, "faults.", "flush", parseBool, func(v bool) { ev.Flush = v }),
 			// A clock step may go backwards: signed duration.
-			v, err := d.durFieldSigned(on, oline, "faults.offset")
-			if err != nil {
-				return err
-			}
-			ev.Offset = v
-		}
-		if rn, rline, ok := item.get("drift_ppm"); ok {
-			raw, err := d.scalar(rn, rline, "faults.drift_ppm")
-			if err != nil {
-				return err
-			}
-			v, err := strconv.ParseFloat(raw, 64)
-			if err != nil {
-				return d.errAt(rline, "faults.drift_ppm: %q is not a number", raw)
-			}
-			ev.DriftPPM = v
+			opt(d, item, "faults.", "offset", parseDuration, func(v sim.Duration) { ev.Offset = v }),
+			opt(d, item, "faults.", "drift_ppm", parseNumber, func(v float64) { ev.DriftPPM = v }),
+		); err != nil {
+			return err
 		}
 		d.faults = append(d.faults, ev)
 	}
 	return nil
+}
+
+func parseFaultKind(raw string) (fault.Kind, error) {
+	switch k := fault.Kind(raw); k {
+	case fault.LinkFlap, fault.DuTStall, fault.QueuePause, fault.ClockStep:
+		return k, nil
+	}
+	return "", fmt.Errorf("unknown fault kind %q (one of: linkflap, dut-stall, queue-pause, clock-step)", raw)
 }
 
 // checkKeys rejects keys outside the allowed set, with a "did you
@@ -894,22 +605,14 @@ func (d *Document) walkFaults(n *node, line int) error {
 // defaulted would corrupt an experiment without a trace.
 func (d *Document) checkKeys(n *node, allowed []string, prefix string) error {
 	for i, k := range n.keys {
-		ok := false
-		for _, a := range allowed {
-			if k == a {
-				ok = true
-				break
-			}
-		}
-		if ok {
+		if slices.Contains(allowed, k) {
 			continue
 		}
 		msg := fmt.Sprintf("unknown key %q", prefix+k)
 		if s := suggest(k, allowed); s != "" {
 			msg += fmt.Sprintf(" (did you mean %q?)", prefix+s)
 		} else {
-			sort.Strings(allowed)
-			msg += fmt.Sprintf(" (valid keys: %s)", strings.Join(allowed, ", "))
+			msg += fmt.Sprintf(" (valid keys: %s)", strings.Join(slices.Sorted(slices.Values(allowed)), ", "))
 		}
 		return d.errAt(n.keyLines[i], "%s", msg)
 	}
@@ -945,191 +648,4 @@ func editDistance(a, b string) int {
 		prev, cur = cur, prev
 	}
 	return prev[len(b)]
-}
-
-// ---------------------------------------------------------------------
-// Scalar field readers
-// ---------------------------------------------------------------------
-
-func (d *Document) scalar(n *node, line int, field string) (string, error) {
-	if n.kind != scalarNode {
-		return "", d.errAt(line, "%s: expected a scalar value, got a %s", field, n.kindName())
-	}
-	return n.val, nil
-}
-
-func (d *Document) strField(n *node, line int, field string) (string, error) {
-	v, err := d.scalar(n, line, field)
-	if err != nil {
-		return "", err
-	}
-	if v == "" {
-		return "", d.errAt(line, "%s: value is empty", field)
-	}
-	return v, nil
-}
-
-func (d *Document) intField(n *node, line int, field string, lo, hi int64) (int64, error) {
-	raw, err := d.scalar(n, line, field)
-	if err != nil {
-		return 0, err
-	}
-	// Base 0 accepts 0x-prefixed hex, which reads naturally for TOS
-	// and DSCP bytes ("tos: 0xb8").
-	v, err := strconv.ParseInt(raw, 0, 64)
-	if err != nil {
-		return 0, d.errAt(line, "%s: %q is not an integer", field, raw)
-	}
-	if v < lo || v > hi {
-		return 0, d.errAt(line, "%s: %d is out of range [%d, %d]", field, v, lo, hi)
-	}
-	return v, nil
-}
-
-func (d *Document) boolField(n *node, line int, field string) (bool, error) {
-	raw, err := d.scalar(n, line, field)
-	if err != nil {
-		return false, err
-	}
-	switch raw {
-	case "true":
-		return true, nil
-	case "false":
-		return false, nil
-	}
-	return false, d.errAt(line, "%s: %q is not a boolean (true or false)", field, raw)
-}
-
-// frameSize reads a frame size in bytes without FCS, bounded to what
-// the modeled 10GbE MAC accepts.
-func (d *Document) frameSize(n *node, line int, field string) (int, error) {
-	v, err := d.intField(n, line, field, 60, 1514)
-	if err != nil {
-		return 0, err
-	}
-	return int(v), nil
-}
-
-// durField reads a duration scalar with an explicit unit: "50ms",
-// "2s", "100us", "500ns". A bare number is rejected — durations
-// without units have caused enough outages elsewhere.
-func (d *Document) durField(n *node, line int, field string) (sim.Duration, error) {
-	dur, err := d.durFieldSigned(n, line, field)
-	if err != nil {
-		return 0, err
-	}
-	if dur <= 0 {
-		return 0, d.errAt(line, "%s: duration must be positive, got %v", field, dur)
-	}
-	return dur, nil
-}
-
-// durFieldZero is durField but admits zero ("at: 0ms" — a fault at the
-// exact run start).
-func (d *Document) durFieldZero(n *node, line int, field string) (sim.Duration, error) {
-	dur, err := d.durFieldSigned(n, line, field)
-	if err != nil {
-		return 0, err
-	}
-	if dur < 0 {
-		return 0, d.errAt(line, "%s: duration must be ≥ 0, got %v", field, dur)
-	}
-	return dur, nil
-}
-
-// durFieldSigned reads a duration that may be negative (a clock step
-// backwards). Units are still mandatory.
-func (d *Document) durFieldSigned(n *node, line int, field string) (sim.Duration, error) {
-	raw, err := d.scalar(n, line, field)
-	if err != nil {
-		return 0, err
-	}
-	num, unit := splitUnit(raw)
-	var scale sim.Duration
-	switch unit {
-	case "ns":
-		scale = sim.Nanosecond
-	case "us", "µs":
-		scale = sim.Microsecond
-	case "ms":
-		scale = sim.Millisecond
-	case "s":
-		scale = sim.Second
-	case "":
-		return 0, d.errAt(line, "%s: %q is missing a unit — write e.g. \"50ms\" (units: ns, us, ms, s)", field, raw)
-	default:
-		return 0, d.errAt(line, "%s: unknown unit %q in %q (units: ns, us, ms, s)", field, unit, raw)
-	}
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || num == "" {
-		return 0, d.errAt(line, "%s: %q is not a duration — write e.g. \"50ms\"", field, raw)
-	}
-	return sim.Duration(math.Round(v * float64(scale))), nil
-}
-
-// rateField reads a packet rate in Mpps: "2mpps", "500kpps",
-// "14880952pps", or the word "line" for unshaped line rate.
-func (d *Document) rateField(n *node, line int, field string) (float64, error) {
-	raw, err := d.scalar(n, line, field)
-	if err != nil {
-		return 0, err
-	}
-	if raw == "line" {
-		return 0, nil
-	}
-	num, unit := splitUnit(raw)
-	var scale float64
-	switch unit {
-	case "mpps":
-		scale = 1
-	case "kpps":
-		scale = 1e-3
-	case "pps":
-		scale = 1e-6
-	case "":
-		return 0, d.errAt(line, "%s: %q is missing a unit — write e.g. \"2mpps\" (units: pps, kpps, mpps) or \"line\"", field, raw)
-	default:
-		return 0, d.errAt(line, "%s: unknown unit %q in %q (units: pps, kpps, mpps; or \"line\")", field, unit, raw)
-	}
-	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || num == "" {
-		return 0, d.errAt(line, "%s: %q is not a rate — write e.g. \"2mpps\"", field, raw)
-	}
-	if v <= 0 {
-		return 0, d.errAt(line, "%s: rate must be positive, got %q", field, raw)
-	}
-	return v * scale, nil
-}
-
-func (d *Document) ipField(n *node, line int, field string) (proto.IPv4, error) {
-	raw, err := d.strField(n, line, field)
-	if err != nil {
-		return 0, err
-	}
-	ip, err := proto.ParseIPv4(raw)
-	if err != nil {
-		return 0, d.errAt(line, "%s: %v", field, err)
-	}
-	return ip, nil
-}
-
-// splitUnit splits "12.5ms" into ("12.5", "ms"). The unit is the
-// trailing run of letters (lowercased); the number is everything
-// before it.
-func splitUnit(raw string) (num, unit string) {
-	raw = strings.TrimSpace(raw)
-	i := len(raw)
-	for i > 0 {
-		c := raw[i-1]
-		if (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c == 'µ' {
-			i--
-			continue
-		}
-		break
-	}
-	// Multi-byte µ: back up to the rune start if we landed mid-rune.
-	for i > 0 && i < len(raw) && raw[i]&0xC0 == 0x80 {
-		i--
-	}
-	return strings.TrimSpace(raw[:i]), strings.ToLower(raw[i:])
 }
