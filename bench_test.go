@@ -72,16 +72,6 @@ func BenchmarkFig3XL710(b *testing.B) {
 	}
 }
 
-func BenchmarkFig4Scaling120G(b *testing.B) {
-	var simNS float64
-	for i := 0; i < b.N; i++ {
-		r := experiments.RunFig4(benchScale, 4)
-		simNS += r.Simulated.Nanoseconds()
-		b.ReportMetric(r.Mpps[11], "12core-Mpps") // paper: 178.5
-	}
-	reportSimWall(b, simNS)
-}
-
 // BenchmarkMulticoreScaling runs the Figure-4 table on the sharded
 // multicore subsystem: real goroutines, one engine and port per core.
 // The metrics are the headline scaling points; ns/op is the wall cost
@@ -95,7 +85,6 @@ func BenchmarkMulticoreScaling(b *testing.B) {
 		b.ReportMetric(r.Mpps[0], "1core-Mpps")
 		b.ReportMetric(r.Mpps[3], "4core-Mpps")
 		b.ReportMetric(r.Mpps[11], "12core-Mpps") // paper: 178.5
-		b.ReportMetric(r.PerCoreMpps, "percore-Mpps")
 	}
 	reportSimWall(b, simNS)
 }

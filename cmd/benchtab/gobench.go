@@ -189,7 +189,6 @@ var gatedBenchmarks = map[string]bool{
 	"BenchmarkEngineProcSwitch":      true,
 	"BenchmarkEnginePacedTick":       true,
 	"BenchmarkFig2MultiCoreScaling":  true,
-	"BenchmarkFig4Scaling120G":       true,
 	"BenchmarkFlowTrackerMillion":    true,
 	"BenchmarkFlowTrackerChurn":      true,
 }

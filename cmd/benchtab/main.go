@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	benchtab [-exp all|freq-sweep|fig2|fig3|fig4|multicore|table1|table2|
+//	benchtab [-exp all|freq-sweep|fig2|fig3|fig4|table1|table2|
 //	          cost-estimate|size-sweep|table3|clocksync|drift|fig7|fig8|
 //	          fig10|fig11]
 //	         [-full] [-seed 1]
@@ -88,8 +88,7 @@ func main() {
 		{"freq-sweep", func() { experiments.RunFreqSweep(scale, *seed).Print(os.Stdout) }},
 		{"fig2", func() { experiments.RunFig2(scale, *seed).Print(os.Stdout) }},
 		{"fig3", func() { experiments.RunFig3(scale, *seed).Print(os.Stdout) }},
-		{"fig4", func() { experiments.RunFig4(scale, *seed).Print(os.Stdout) }},
-		{"multicore", func() { experiments.RunMulticoreScaling(scale, *seed).Print(os.Stdout) }},
+		{"fig4", func() { experiments.RunMulticoreScaling(scale, *seed).Print(os.Stdout) }},
 		{"table1", func() { experiments.RunTable1().Print(os.Stdout) }},
 		{"table2", func() { experiments.RunTable2().Print(os.Stdout) }},
 		{"cost-estimate", func() { experiments.RunCostEstimate(scale, *seed).Print(os.Stdout) }},

@@ -2,8 +2,14 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
+	"repro/internal/spec"
 )
 
 // TestFlagsPassSpecChecks drives the CLI in-process with flag values
@@ -72,5 +78,45 @@ func TestFlowsFlagResizesBeforeChecks(t *testing.T) {
 	}
 	if !strings.Contains(stdout.String(), "flow f5 ") {
 		t.Fatalf("no sixth flow in the report:\n%s", stdout.String())
+	}
+}
+
+// TestShownDefaultsAreTheResolvedValues pins `moongen <scenario> -h` to
+// the run: for every registered scenario, each knob flag that shows a
+// default, passed that default explicitly, compiles to the same
+// resolved Spec as leaving the flag out.
+func TestShownDefaultsAreTheResolvedValues(t *testing.T) {
+	compile := func(name string, args ...string) (scenario.Spec, error) {
+		doc := &spec.Document{File: name, Scenario: name}
+		fs := flag.NewFlagSet(name, flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		doc.RegisterFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			return scenario.Spec{}, err
+		}
+		if err := doc.ApplyFlags(fs); err != nil {
+			return scenario.Spec{}, err
+		}
+		_, s, err := doc.Compile()
+		return s.WithDefaults(), err
+	}
+	for _, name := range scenario.Names() {
+		want, err := compile(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fs := flag.NewFlagSet(name, flag.ContinueOnError)
+		for _, f := range (&spec.Document{File: name, Scenario: name}).RegisterFlags(fs) {
+			def := fs.Lookup(f).DefValue
+			if def == "" {
+				continue
+			}
+			got, err := compile(name, "-"+f+"="+def)
+			if err != nil {
+				t.Errorf("%s -%s=%s (the shown default): %v", name, f, def, err)
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s -%s=%s (the shown default) resolves to\n%+v\nwithout the flag:\n%+v", name, f, def, got, want)
+			}
+		}
 	}
 }

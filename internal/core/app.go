@@ -19,12 +19,6 @@ import (
 type App struct {
 	Eng *sim.Engine
 
-	// Shard identifies the multicore shard this app models when it is
-	// one engine of a sharded group (set by internal/multicore); 0 for
-	// ordinary single-engine apps. Tasks can read it through
-	// Task.Shard to tell which modeled core they run on.
-	Shard int
-
 	// TxPoolSize overrides the shared transmit pool's buffer count
 	// when set before the pool is first used (default 8192).
 	TxPoolSize int
@@ -82,10 +76,6 @@ type Task struct {
 	*sim.Proc
 	app *App
 }
-
-// Shard returns the modeled core this task runs on (0 unless the app
-// is a multicore shard).
-func (t *Task) Shard() int { return t.app.Shard }
 
 // Cache returns the engine's shared per-core mempool cache (see
 // App.TxCache).

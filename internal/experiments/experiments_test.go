@@ -79,24 +79,6 @@ func TestFig3XL710(t *testing.T) {
 	}
 }
 
-func TestFig4Scaling120G(t *testing.T) {
-	if testing.Short() {
-		t.Skip("12-core soak; covered by the full suite")
-	}
-	r := RunFig4(ScaleTest, 4)
-	// Every added core adds a full line-rate port: 14.88 Mpps each.
-	for i, m := range r.Mpps {
-		want := float64(i+1) * 14.88
-		if math.Abs(m-want)/want > 0.01 {
-			t.Errorf("%d cores = %.2f Mpps, want %.2f", i+1, m, want)
-		}
-	}
-	// Headline: 178.5 Mpps at 120 Gbit/s with 12 cores.
-	if math.Abs(r.Mpps[11]-178.5) > 1.0 {
-		t.Errorf("12 cores = %.1f Mpps, paper: 178.5", r.Mpps[11])
-	}
-}
-
 func TestCostEstimate(t *testing.T) {
 	r := RunCostEstimate(ScaleTest, 5)
 	if math.Abs(r.PredictedMpps-10.47) > 0.1 {
@@ -312,10 +294,10 @@ func TestFig11Shape(t *testing.T) {
 	}
 }
 
-// TestMulticoreScaling pins the Figure-4 scaling table produced by the
-// sharded subsystem at a fixed seed: linear scaling in both regimes,
-// the wire-rate ceiling at 2 GHz, the paper's 178.5 Mpps headline at
-// 12 cores, and agreement with the cycle-cost prediction.
+// TestMulticoreScaling pins the Figure-4 scaling table at a fixed
+// seed: linear scaling in both regimes, a full line-rate port per core
+// at 2 GHz, the paper's 178.5 Mpps headline at 12 cores, and agreement
+// with the cycle-cost prediction.
 func TestMulticoreScaling(t *testing.T) {
 	r := RunMulticoreScaling(ScaleTest, 14)
 	if len(r.Mpps) != 12 {
@@ -325,7 +307,15 @@ func TestMulticoreScaling(t *testing.T) {
 	if math.Abs(r.Mpps[0]-r.LineRateMpps)/r.LineRateMpps > 0.005 {
 		t.Errorf("1 core at 2 GHz = %.2f Mpps, want wire rate %.2f", r.Mpps[0], r.LineRateMpps)
 	}
-	if math.Abs(r.Mpps[11]-178.5) > 1.5 {
+	// Every added core adds a full line-rate port: 14.88 Mpps each.
+	for i, m := range r.Mpps {
+		want := float64(i+1) * 14.88
+		if math.Abs(m-want)/want > 0.01 {
+			t.Errorf("%d cores = %.2f Mpps, want %.2f", i+1, m, want)
+		}
+	}
+	// Headline: 178.5 Mpps at 120 Gbit/s with 12 cores.
+	if math.Abs(r.Mpps[11]-178.5) > 1.0 {
 		t.Errorf("12 cores = %.1f Mpps, paper: 178.5", r.Mpps[11])
 	}
 	// 1.2 GHz: CPU-bound below the ceiling (100.8 cycles/pkt ⇒ ~11.9
@@ -349,10 +339,6 @@ func TestMulticoreScaling(t *testing.T) {
 			t.Errorf("%d cores low: measured %.2f vs predicted %.2f Mpps", i+1, r.MppsLow[i], r.PredictedLow[i])
 		}
 	}
-	// The merged per-core counters must agree with the ceiling.
-	if math.Abs(r.PerCoreMpps-r.LineRateMpps) > 0.3 {
-		t.Errorf("per-core merged rate = %.2f ± %.2f, want ~%.2f", r.PerCoreMpps, r.PerCoreStd, r.LineRateMpps)
-	}
 }
 
 // TestMulticoreScalingDeterministic: the sharded experiment is exactly
@@ -361,8 +347,8 @@ func TestMulticoreScaling(t *testing.T) {
 func TestMulticoreScalingDeterministic(t *testing.T) {
 	if testing.Short() {
 		// One 4-core point instead of two full tables.
-		am, _ := runMulticorePoint(ScaleTest, 14, 4, cpu.SimpleUDPWorkload, 2*cpu.GHz)
-		bm, _ := runMulticorePoint(ScaleTest, 14, 4, cpu.SimpleUDPWorkload, 2*cpu.GHz)
+		am := runMulticorePoint(ScaleTest, 14, 4, cpu.SimpleUDPWorkload, 2*cpu.GHz)
+		bm := runMulticorePoint(ScaleTest, 14, 4, cpu.SimpleUDPWorkload, 2*cpu.GHz)
 		if am != bm {
 			t.Fatalf("4-core point differs across runs: %v vs %v", am, bm)
 		}
@@ -375,8 +361,5 @@ func TestMulticoreScalingDeterministic(t *testing.T) {
 			t.Errorf("%d cores: runs differ: %v/%v vs %v/%v",
 				i+1, a.Mpps[i], a.MppsLow[i], b.Mpps[i], b.MppsLow[i])
 		}
-	}
-	if a.PerCoreMpps != b.PerCoreMpps || a.PerCoreStd != b.PerCoreStd {
-		t.Errorf("merged counter stats differ across runs")
 	}
 }

@@ -3,22 +3,17 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/cpu"
-	"repro/internal/mempool"
 	"repro/internal/multicore"
 	"repro/internal/nic"
-	"repro/internal/proto"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/wire"
 )
 
-// MulticoreScalingResult is Figure 4 run on the multicore subsystem:
-// real engine shards (one goroutine per modeled core), one 10 GbE port
-// pair per core, per-shard mempools with per-core caches, and results
-// combined through the stats merge layer.
+// MulticoreScalingResult is Figure 4: real engine shards (one goroutine
+// per modeled core), one 10 GbE port pair, mempool and cache per core,
+// and the per-shard packet counts summed in shard order.
 type MulticoreScalingResult struct {
 	Table
 	// Mpps[i] is the merged rate with i+1 cores at 2 GHz (wire-capped:
@@ -32,10 +27,6 @@ type MulticoreScalingResult struct {
 	// (i+1 cores times min(model rate, per-port line rate)).
 	Predicted    []float64
 	PredictedLow []float64
-	// PerCoreMpps/PerCoreStd describe the distribution of per-core
-	// window rates at 2 GHz and max cores, from the merged counters.
-	PerCoreMpps float64
-	PerCoreStd  float64
 	// LineRateMpps is the per-port (= per-core) wire-rate ceiling.
 	LineRateMpps float64
 	// Simulated is the total modeled time covered (one measurement
@@ -45,104 +36,38 @@ type MulticoreScalingResult struct {
 	Simulated sim.Duration
 }
 
-// multicoreShardLoad runs the workload on one shard: its own port
-// pair, mempool and cache, paced by the cycle-cost model. It returns
-// the packets the NIC transmitted inside the measurement window
-// (startup transient excluded) and the shard's finalized counter.
-func multicoreShardLoad(s *multicore.Shard, w cpu.Workload, freq cpu.Freq, window sim.Duration) (uint64, *stats.Counter) {
-	app := s.App
-	queues := scenario.BuildPortPairs(app, nic.ChipX540, 1, 1)
-	q := queues[0][0]
-	const pktSize = 60
-	tmpl := proto.NewUDPTemplate(proto.UDPPacketFill{
-		PktLength: pktSize,
-		IPSrc:     loadSrcIP,
-		IPDst:     loadDstIP,
-		UDPSrc:    1234, UDPDst: 5678,
-	})
-	// 4096 buffers bound the shard's working set with >2x headroom:
-	// SendAll back-pressures on the 1024-deep TX ring, so at most
-	// ring + cache (512) + a few wire trains are ever in flight. The
-	// profile pass found pool construction (slab zeroing) dominating
-	// the 24-point run's startup cost; halving the count halves it
-	// without the pool ever running dry — the series is bit-identical.
-	pool := core.CreateSizedMemPool(4096, loadPoolBufSize(pktSize), func(m *mempool.Mbuf) {
-		tmpl.Apply(m.Data[:pktSize])
-	})
-	cache := pool.NewCache(512)
-	warmup := window / 4
-	ctr := stats.NewCounter(stats.CounterConfig{
-		Name: fmt.Sprintf("core-%d", s.ID), Format: stats.FormatNone,
-		Window: (window - warmup) / 4, Start: sim.Time(0).Add(warmup),
-	})
-	perPkt := w.TimePerPacket(freq)
-	app.LaunchTask(fmt.Sprintf("core-%d", s.ID), func(t *core.Task) {
-		bufs := make([]*mempool.Mbuf, mempool.DefaultBatchSize)
-		rng := t.Engine().Rand()
-		base := loadBaseIP
-		for t.Running() {
-			n := cache.AllocBatch(bufs, pktSize)
-			if n == 0 {
-				t.Sleep(sim.Microsecond)
-				continue
-			}
-			// The §5.2 script body: one randomized field (256 source
-			// addresses), priced by the workload's cycle cost.
-			for _, m := range bufs[:n] {
-				pkt := proto.UDPPacket{B: m.Payload()}
-				pkt.IP().SetSrc(base + proto.IPv4(rng.Uint32()&0xff))
-			}
-			t.Sleep(sim.Duration(n) * perPkt)
-			t.SendAll(q, bufs[:n])
-			if t.Now() >= sim.Time(0).Add(warmup) {
-				ctr.Update(n, n*pktSize, t.Now())
-			}
-		}
-	})
-	port := q.Port()
-	var warmPkts, stopPkts uint64
-	app.Eng.Schedule(app.Now().Add(warmup), func() { warmPkts = port.GetStats().TxPackets })
-	app.Eng.Schedule(app.Now().Add(window), func() { stopPkts = port.GetStats().TxPackets })
-	app.RunFor(window)
-	ctr.Finalize(app.Now())
-	cache.Flush()
-	return stopPkts - warmPkts, ctr
-}
-
-// runMulticorePoint measures one (cores, freq) point: a shard group
-// runs the load concurrently, then the per-shard results merge in
-// shard order — counts into a total, counters through Counter.Merge.
-func runMulticorePoint(scale Scale, seed int64, cores int, w cpu.Workload, freq cpu.Freq) (mpps float64, merged *stats.Counter) {
-	g := multicore.NewGroup(cores, seed)
+// runMulticorePoint measures one (cores, freq) point: multicore.Run
+// gives every modeled core its own engine and port pair running the
+// single-core paced load, and the per-shard packet counts add up.
+func runMulticorePoint(scale Scale, seed int64, cores int, w cpu.Workload, freq cpu.Freq) float64 {
 	pkts := make([]uint64, cores)
-	ctrs := make([]*stats.Counter, cores)
-	_ = g.Each(func(s *multicore.Shard) error {
-		pkts[s.ID], ctrs[s.ID] = multicoreShardLoad(s, w, freq, scale.Window)
+	_ = multicore.Run(cores, seed, func(s *multicore.Shard) error {
+		queues := scenario.BuildPortPairs(s.App, nic.ChipX540, 1, 1)
+		pl := &pacedLoad{cores: 1, freq: freq, workload: w, pktSize: 60, queues: queues}
+		pkts[s.ID], _ = pl.run(s.App, scale.Window)
 		return nil
 	})
-	merged = stats.NewCounter(stats.CounterConfig{Name: "merged", Format: stats.FormatNone})
 	var total uint64
-	for i := 0; i < cores; i++ {
-		total += pkts[i]
-		merged.Merge(ctrs[i])
+	for _, p := range pkts {
+		total += p
 	}
-	secs := (scale.Window - scale.Window/4).Seconds()
-	return float64(total) / secs / 1e6, merged
+	return float64(total) / (scale.Window - scale.Window/4).Seconds() / 1e6
 }
 
-// RunMulticoreScaling reproduces Figure 4's shape on the multicore
-// subsystem: throughput versus core count with one 10 GbE port per
-// core. At 2 GHz the simple UDP workload outruns the wire, so every
-// core sits at the per-port wire-rate ceiling and the total climbs
-// linearly to the paper's 178.5 Mpps at 12 cores; at 1.2 GHz the cost
-// model is the bottleneck and the same bed scales linearly below the
-// ceiling. Both series are compared against the cycle-cost prediction.
+// RunMulticoreScaling reproduces Figure 4: throughput versus core count
+// with one 10 GbE port per core, each core a multicore shard. At 2 GHz
+// the simple UDP workload outruns the wire, so every core sits at the
+// per-port wire-rate ceiling and the total climbs linearly to the
+// paper's 178.5 Mpps at 12 cores; at 1.2 GHz the cost model is the
+// bottleneck and the same bed scales linearly below the ceiling. Both
+// series are compared against the cycle-cost prediction; a point's
+// per-core rate is Mpps[i]/(i+1).
 func RunMulticoreScaling(scale Scale, seed int64) *MulticoreScalingResult {
 	const maxCores = 12
 	w := cpu.SimpleUDPWorkload
 	hi, lo := 2*cpu.GHz, 1.2*cpu.GHz
 	res := &MulticoreScalingResult{}
-	res.Title = "Figure 4 on the multicore subsystem: one engine shard and 10GbE port per core"
+	res.Title = "Figure 4: multi-core scaling, one engine shard and 10GbE port per core"
 	res.Columns = []string{"Mpps @2GHz", "pred @2GHz", "Mpps @1.2GHz", "pred @1.2GHz"}
 	res.LineRateMpps = wire.LineRatePPS(wire.Speed10G, 64) / 1e6
 
@@ -154,8 +79,8 @@ func RunMulticoreScaling(scale Scale, seed int64) *MulticoreScalingResult {
 		return p
 	}
 	for cores := 1; cores <= maxCores; cores++ {
-		mhi, merged := runMulticorePoint(scale, seed+int64(cores), cores, w, hi)
-		mlo, _ := runMulticorePoint(scale, seed+100+int64(cores), cores, w, lo)
+		mhi := runMulticorePoint(scale, seed+int64(cores), cores, w, hi)
+		mlo := runMulticorePoint(scale, seed+100+int64(cores), cores, w, lo)
 		res.Simulated += 2 * scale.Window
 		res.Mpps = append(res.Mpps, mhi)
 		res.MppsLow = append(res.MppsLow, mlo)
@@ -165,13 +90,9 @@ func RunMulticoreScaling(scale Scale, seed int64) *MulticoreScalingResult {
 			Label:  fmt.Sprintf("%d cores", cores),
 			Values: []float64{mhi, float64(cores) * perCore(hi), mlo, float64(cores) * perCore(lo)},
 		})
-		if cores == maxCores {
-			res.PerCoreMpps, res.PerCoreStd = merged.MppsStats()
-		}
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("per-port wire-rate ceiling: %.2f Mpps; paper: 178.5 Mpps at 120 Gbit/s with 12 cores", res.LineRateMpps),
-		fmt.Sprintf("per-core window rates at 12 cores (merged counters): %.2f ± %.2f Mpps", res.PerCoreMpps, res.PerCoreStd),
 		"shards are real goroutines: one deterministic engine, mempool cache and port pair per modeled core")
 	return res
 }

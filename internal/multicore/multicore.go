@@ -6,7 +6,7 @@
 //
 // Each Shard owns a complete core.App (engine, devices, tasks); the
 // shards share no simulation state, so every shard is individually
-// reproducible and the group as a whole is deterministic at any core
+// reproducible and a Run as a whole is deterministic at any core
 // count: shard i's seed is derived from the base seed by a splitmix64
 // step, independent of how many shards run or how the host schedules
 // their goroutines. Results are combined after the barrier in shard
@@ -35,11 +35,11 @@ func ShardSeed(base int64, shard int) int64 {
 }
 
 // Shard is one modeled core: an independent deterministic engine plus
-// its identity within the group. Tasks launched on the shard's App see
-// the shard index via Task.Shard; per-core mempools and queue slices
-// are created on the shard by whoever builds its testbed.
+// its identity among the n shards of a Run. Per-core mempools and
+// queue slices are created on the shard's App by whoever builds its
+// testbed.
 type Shard struct {
-	// ID is the shard's index in [0, N).
+	// ID is the shard's index in [0, n).
 	ID int
 	// Seed is the shard's derived engine seed.
 	Seed int64
@@ -47,55 +47,31 @@ type Shard struct {
 	App *core.App
 }
 
-// Group runs N shards. Building the group is cheap; the parallelism
-// happens in Each/RunFor, which put every shard on its own goroutine —
-// real host parallelism wrapping N deterministic simulations.
-type Group struct {
-	shards []*Shard
-}
-
-// NewGroup creates n shards with seeds derived from baseSeed.
-func NewGroup(n int, baseSeed int64) *Group {
+// Run creates n shards (at least one) with seeds derived from baseSeed
+// and runs fn for every shard concurrently, one goroutine per shard,
+// then waits for all of them — the fork/join of a master task
+// launching one slave per core and waiting for it. fn must confine
+// itself to its shard (and any slot of caller-owned result slices
+// indexed by shard ID); the barrier at return publishes all shard
+// writes to the caller. Panics in fn are re-raised on the caller after
+// all shards stop. The returned error aggregates per-shard errors in
+// shard order.
+func Run(n int, baseSeed int64, fn func(s *Shard) error) error {
 	if n < 1 {
 		n = 1
 	}
-	g := &Group{shards: make([]*Shard, n)}
-	for i := range g.shards {
-		seed := ShardSeed(baseSeed, i)
-		app := core.NewApp(seed)
-		app.Shard = i
-		g.shards[i] = &Shard{ID: i, Seed: seed, App: app}
-	}
-	return g
-}
-
-// N returns the number of shards.
-func (g *Group) N() int { return len(g.shards) }
-
-// Shard returns shard i.
-func (g *Group) Shard(i int) *Shard { return g.shards[i] }
-
-// Shards returns all shards in index order.
-func (g *Group) Shards() []*Shard { return g.shards }
-
-// Each runs fn for every shard concurrently, one goroutine per shard,
-// and waits for all of them — the fork/join of a master task launching
-// one slave per core. fn must confine itself to its shard (and any
-// slot of caller-owned result slices indexed by shard ID); the barrier
-// at return publishes all shard writes to the caller. Panics in fn are
-// re-raised on the caller after all shards stop. The returned error
-// aggregates per-shard errors in shard order.
-func (g *Group) Each(fn func(s *Shard) error) error {
-	errs := make([]error, len(g.shards))
+	errs := make([]error, n)
 	type shardPanic struct {
 		value interface{}
 		stack []byte
 	}
-	panics := make([]*shardPanic, len(g.shards))
+	panics := make([]*shardPanic, n)
 	var wg sync.WaitGroup
-	for _, s := range g.shards {
+	for i := 0; i < n; i++ {
+		seed := ShardSeed(baseSeed, i)
+		s := &Shard{ID: i, Seed: seed, App: core.NewApp(seed)}
 		wg.Add(1)
-		go func(s *Shard) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -103,7 +79,7 @@ func (g *Group) Each(fn func(s *Shard) error) error {
 				}
 			}()
 			errs[s.ID] = fn(s)
-		}(s)
+		}()
 	}
 	wg.Wait()
 	var panicked []string
@@ -129,27 +105,4 @@ func (g *Group) Each(fn func(s *Shard) error) error {
 		return fmt.Errorf("multicore: %s", strings.Join(msgs, "; "))
 	}
 	return nil
-}
-
-// LaunchAll launches one task per shard on the shard's own engine —
-// MoonGen's "launch this slave on every core". The tasks do not start
-// running until the shard's simulation is driven (RunFor or a per-
-// shard Run inside Each).
-func (g *Group) LaunchAll(name string, fn func(s *Shard, t *core.Task)) {
-	for _, s := range g.shards {
-		s := s
-		s.App.LaunchTask(fmt.Sprintf("%s-%d", name, s.ID), func(t *core.Task) {
-			fn(s, t)
-		})
-	}
-}
-
-// RunFor drives every shard's simulation for d of simulated time
-// concurrently and waits for all shards to finish draining — the
-// master task's waitForSlaves over real goroutines.
-func (g *Group) RunFor(d sim.Duration) {
-	_ = g.Each(func(s *Shard) error {
-		s.App.RunFor(d)
-		return nil
-	})
 }

@@ -35,19 +35,31 @@ func TestShardSeedStableAndDistinct(t *testing.T) {
 }
 
 func TestGroupShards(t *testing.T) {
-	g := multicore.NewGroup(4, 7)
-	if g.N() != 4 {
-		t.Fatalf("N = %d", g.N())
+	ids := make([]int, 4)
+	seeds := make([]int64, 4)
+	apps := make([]*core.App, 4)
+	if err := multicore.Run(4, 7, func(s *multicore.Shard) error {
+		ids[s.ID] = s.ID + 1
+		seeds[s.ID] = s.Seed
+		apps[s.ID] = s.App
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	for i, s := range g.Shards() {
-		if s.ID != i || g.Shard(i) != s {
-			t.Fatalf("shard %d misindexed", i)
+	for i := range ids {
+		if ids[i] != i+1 {
+			t.Fatalf("shard %d never ran", i)
 		}
-		if s.Seed != multicore.ShardSeed(7, i) {
-			t.Fatalf("shard %d seed = %d", i, s.Seed)
+		if seeds[i] != multicore.ShardSeed(7, i) {
+			t.Fatalf("shard %d seed = %d", i, seeds[i])
 		}
-		if s.App == nil || s.App.Shard != i {
-			t.Fatalf("shard %d app not tagged", i)
+		if apps[i] == nil || apps[i].Eng.Seed() != seeds[i] {
+			t.Fatalf("shard %d app not seeded with the shard seed", i)
+		}
+		for j := 0; j < i; j++ {
+			if apps[j] == apps[i] {
+				t.Fatalf("shards %d and %d share an app", j, i)
+			}
 		}
 	}
 }
@@ -82,9 +94,8 @@ func shardLoad(s *multicore.Shard, window sim.Duration) uint64 {
 // per-shard results no matter how the host schedules the goroutines.
 func TestGroupDeterministicAcrossRuns(t *testing.T) {
 	run := func() []uint64 {
-		g := multicore.NewGroup(4, 42)
-		out := make([]uint64, g.N())
-		if err := g.Each(func(s *multicore.Shard) error {
+		out := make([]uint64, 4)
+		if err := multicore.Run(4, 42, func(s *multicore.Shard) error {
 			out[s.ID] = shardLoad(s, sim.Millisecond)
 			return nil
 		}); err != nil {
@@ -107,9 +118,8 @@ func TestGroupDeterministicAcrossRuns(t *testing.T) {
 // times one shard's packets once merged — the Figure 4 execution model.
 func TestGroupScalesWithShards(t *testing.T) {
 	total := func(k int) uint64 {
-		g := multicore.NewGroup(k, 9)
 		counts := make([]uint64, k)
-		_ = g.Each(func(s *multicore.Shard) error {
+		_ = multicore.Run(k, 9, func(s *multicore.Shard) error {
 			counts[s.ID] = shardLoad(s, sim.Millisecond)
 			return nil
 		})
@@ -125,43 +135,31 @@ func TestGroupScalesWithShards(t *testing.T) {
 	}
 }
 
-func TestLaunchAllAndRunFor(t *testing.T) {
-	g := multicore.NewGroup(3, 5)
-	seen := make([]int, g.N())
-	g.LaunchAll("probe", func(s *multicore.Shard, tk *core.Task) {
-		seen[s.ID] = tk.Shard() + 1
-	})
-	g.RunFor(sim.Microsecond)
-	for i, v := range seen {
-		if v != i+1 {
-			t.Fatalf("shard %d: task saw shard %d", i, v-1)
-		}
-	}
-}
-
+// TestEachAggregatesErrors: Run reports every failing shard, in shard
+// order whatever order the goroutines finished in.
 func TestEachAggregatesErrors(t *testing.T) {
-	g := multicore.NewGroup(3, 1)
 	boom := errors.New("boom")
-	err := g.Each(func(s *multicore.Shard) error {
-		if s.ID == 1 {
+	err := multicore.Run(3, 1, func(s *multicore.Shard) error {
+		if s.ID != 1 {
 			return fmt.Errorf("shard saw %w", boom)
 		}
 		return nil
 	})
-	if err == nil || !strings.Contains(err.Error(), "shard 1") {
-		t.Fatalf("err = %v", err)
+	want := "multicore: shard 0: shard saw boom; shard 2: shard saw boom"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 
 func TestEachPropagatesPanics(t *testing.T) {
 	defer func() {
 		r := recover()
-		if r == nil || !strings.Contains(fmt.Sprint(r), "shard 2") {
+		// The re-raised value names the shard and carries its stack.
+		if r == nil || !strings.Contains(fmt.Sprint(r), "shard 2: kaboom") || !strings.Contains(fmt.Sprint(r), "goroutine") {
 			t.Fatalf("recover = %v", r)
 		}
 	}()
-	g := multicore.NewGroup(3, 1)
-	_ = g.Each(func(s *multicore.Shard) error {
+	_ = multicore.Run(3, 1, func(s *multicore.Shard) error {
 		if s.ID == 2 {
 			panic("kaboom")
 		}
@@ -172,9 +170,8 @@ func TestEachPropagatesPanics(t *testing.T) {
 // TestMergedShardStats ties the subsystem to the stats merge layer:
 // per-shard counters merged across k shards describe the union.
 func TestMergedShardStats(t *testing.T) {
-	g := multicore.NewGroup(4, 11)
-	counters := make([]*stats.Counter, g.N())
-	_ = g.Each(func(s *multicore.Shard) error {
+	counters := make([]*stats.Counter, 4)
+	_ = multicore.Run(4, 11, func(s *multicore.Shard) error {
 		c := stats.NewCounter(stats.CounterConfig{Name: "tx", Window: 100 * sim.Microsecond})
 		pkts := shardLoad(s, sim.Millisecond)
 		c.Update(int(pkts), int(pkts)*60, sim.Time(sim.Millisecond))

@@ -55,21 +55,27 @@ func (churnScenario) DefaultSpec() Spec {
 	}
 }
 
+// churnWorkingSet is W, the live-flow working set (1024 when unset).
+func churnWorkingSet(s Spec) int {
+	if s.ChurnFlows > 0 {
+		return s.ChurnFlows
+	}
+	return 1024
+}
+
+// ShardUnit implements ShardUnit: fid ≡ j (mod W) keeps every flow in
+// one shard only when the core count divides W.
+func (churnScenario) ShardUnit(s Spec) (string, int) { return "churn working set", churnWorkingSet(s) }
+
 func (churnScenario) Run(env *Env) (*Report, error) {
 	spec := env.Spec
 	if spec.UseDuT {
 		return nil, fmt.Errorf("churn needs the direct duplex testbed, not the DuT path")
 	}
-	W := spec.ChurnFlows
-	if W <= 0 {
-		W = 1024
-	}
+	W := churnWorkingSet(spec)
 	R := spec.ChurnLife
 	if R <= 0 {
 		R = 4
-	}
-	if spec.ShardCount > 1 && W%spec.ShardCount != 0 {
-		return nil, fmt.Errorf("churn: cores (%d) must divide the working set (%d) so every flow lives in one shard", spec.ShardCount, W)
 	}
 	size := spec.PktSize
 	if size < proto.EthHdrLen+proto.IPv4HdrLen+proto.UDPHdrLen+flow.StampLen {

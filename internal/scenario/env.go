@@ -46,7 +46,7 @@ func NewEnv(spec Spec, out io.Writer) *Env {
 	if out == nil {
 		out = io.Discard
 	}
-	return &Env{Spec: spec.withDefaults(), Out: out}
+	return &Env{Spec: spec.WithDefaults(), Out: out}
 }
 
 // Adopt makes the env build its testbed on a pre-existing app — a

@@ -28,7 +28,7 @@ import (
 // the window) versus lost-in-recovery (any remaining sequence gaps).
 
 // linkFlapScenario: periodic link flap under constant-bit-rate load.
-type linkFlapScenario struct{}
+type linkFlapScenario struct{ flowSharded }
 
 func (linkFlapScenario) Name() string { return "linkflap" }
 func (linkFlapScenario) Describe() string {
@@ -91,7 +91,7 @@ func (linkFlapScenario) Run(env *Env) (*Report, error) {
 }
 
 // overloadRecoverScenario: offered rate ramps above line rate and back.
-type overloadRecoverScenario struct{}
+type overloadRecoverScenario struct{ flowSharded }
 
 func (overloadRecoverScenario) Name() string { return "overload-recover" }
 func (overloadRecoverScenario) Describe() string {

@@ -120,6 +120,13 @@ type flowTxResult struct {
 	errs     []uint64 // pool-dry or ring-full slots (sized-out setups: 0)
 }
 
+// flowSharded gives the flow-tracked scenarios their shard unit: shard
+// i of k owns the global slots j ≡ i (mod k), which keeps every flow
+// in one shard only when k divides the flow count.
+type flowSharded struct{}
+
+func (flowSharded) ShardUnit(s Spec) (string, int) { return "flow count", len(s.EffectiveFlows()) }
+
 // launchFlowTx starts the slot-grid transmit task for this shard's
 // slice of the global grid. Every slot advances its flow's sequence
 // number whether or not the packet is admitted, so the receiver
@@ -136,9 +143,6 @@ func launchFlowTx(env *Env, cfg flowTxConfig) (*flowTxResult, error) {
 	}
 	flows := spec.EffectiveFlows()
 	F := len(flows)
-	if spec.ShardCount > 1 && F%spec.ShardCount != 0 {
-		return nil, fmt.Errorf("flow-tracked scenario: cores (%d) must divide the flow count (%d) so every flow lives in one shard", spec.ShardCount, F)
-	}
 	_, interval, phase, index, stride, err := slotGrid(spec)
 	if err != nil {
 		return nil, err
@@ -251,7 +255,7 @@ func collectFlows(rep *Report, spec Spec, res *flowTxResult, tr *flow.Tracker) {
 // the deterministic bufferless admission gate tail-drops the excess,
 // and the receiver's flow tracker reports every drop as sequence loss
 // on the flow it hit.
-type lossOverloadScenario struct{}
+type lossOverloadScenario struct{ flowSharded }
 
 func (lossOverloadScenario) Name() string { return "loss-overload" }
 func (lossOverloadScenario) Describe() string {
@@ -309,7 +313,7 @@ func (lossOverloadScenario) Run(env *Env) (*Report, error) {
 // independent transmit queues suffers (§3.3: queues are scheduled
 // independently, so multi-queue transmission reorders within a flow)
 // — and duplicates every 64th packet.
-type reorderScenario struct{}
+type reorderScenario struct{ flowSharded }
 
 // reorderSwapEvery swaps one pair in this many; reorderDupEvery
 // duplicates one packet in this many (per flow).

@@ -79,25 +79,17 @@ func Execute(name string, spec Spec, out io.Writer) (*Report, error) {
 	if !ok {
 		return nil, fmt.Errorf("scenario: unknown scenario %q (have %v)", name, Names())
 	}
-	// Fault plans are validated fail-closed before anything runs: a
-	// malformed plan (or one whose targets the topology cannot
-	// provide) must never degrade into a partially injected run.
-	if len(spec.Faults) > 0 {
-		if err := spec.Faults.Validate(); err != nil {
-			return nil, fmt.Errorf("scenario %s: %w", name, err)
-		}
-		if spec.Faults.RequiresDuT() && !spec.UseDuT {
-			return nil, fmt.Errorf("scenario %s: fault plan contains dut-stall events but the topology has no DuT", name)
-		}
+	if err := CheckFaults(spec); err != nil {
+		return nil, fmt.Errorf("scenario %s: faults: %w", name, err)
+	}
+	if err := CheckCores(sc, spec); err != nil {
+		return nil, fmt.Errorf("scenario %s: cores: %w", name, err)
 	}
 	var (
 		rep *Report
 		err error
 	)
 	if spec.Cores > 1 {
-		if sco, ok := sc.(SingleCoreOnly); ok {
-			return nil, fmt.Errorf("scenario %s: cannot run with cores=%d: %s", name, spec.Cores, sco.SingleCoreOnly())
-		}
 		rep, err = executeSharded(sc, spec, out)
 	} else {
 		rep, err = sc.Run(NewEnv(spec, out))

@@ -13,6 +13,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -180,8 +181,10 @@ type Spec struct {
 	Faults fault.Plan
 }
 
-// withDefaults fills the zero fields every scenario relies on.
-func (s Spec) withDefaults() Spec {
+// WithDefaults fills the zero fields every scenario relies on: the
+// zero-means-default resolution every run applies (NewEnv, sharded
+// Execute), so a resolved Spec shows the values that run.
+func (s Spec) WithDefaults() Spec {
 	if s.PktSize <= 0 {
 		s.PktSize = 60
 	}
@@ -235,10 +238,50 @@ func (s Spec) EffectiveFlows() []Flow {
 // SingleCoreOnly marks scenarios that must not be sharded with
 // Spec.Cores > 1 — typically wrappers that sweep parameters
 // internally, whose per-step rows would be meaninglessly summed by the
-// report merge. Execute rejects Cores > 1 for them with the returned
-// reason instead of printing silently wrong numbers.
+// report merge. CheckCores rejects Cores > 1 for them with the
+// returned reason instead of printing silently wrong numbers.
 type SingleCoreOnly interface {
 	SingleCoreOnly() string
+}
+
+// ShardUnit marks scenarios whose flows must each live wholly in one
+// shard: ShardUnit names the population a core count must divide and
+// returns its size under s. CheckCores rejects the core counts that do
+// not divide it.
+type ShardUnit interface {
+	ShardUnit(s Spec) (what string, n int)
+}
+
+// CheckCores reports whether sc can run sharded on s.Cores cores. It is
+// the one sharding check: Execute runs it before any shard starts, and
+// spec compilation anchors its error to the cores setting.
+func CheckCores(sc Scenario, s Spec) error {
+	if s.Cores <= 1 {
+		return nil
+	}
+	if sco, ok := sc.(SingleCoreOnly); ok {
+		return fmt.Errorf("scenario %q is single-core only (%s); remove cores or set it to 1", sc.Name(), sco.SingleCoreOnly())
+	}
+	if su, ok := sc.(ShardUnit); ok {
+		if what, n := su.ShardUnit(s); n%s.Cores != 0 {
+			return fmt.Errorf("%d does not divide the %s (%d) for scenario %q — every flow must live wholly in one shard", s.Cores, what, n, sc.Name())
+		}
+	}
+	return nil
+}
+
+// CheckFaults validates s's fault plan fail-closed: a malformed plan,
+// or one whose targets the topology cannot provide, must never degrade
+// into a partially injected run. Execute and spec compilation both run
+// it before anything starts.
+func CheckFaults(s Spec) error {
+	if err := s.Faults.Validate(); err != nil {
+		return err
+	}
+	if s.Faults.RequiresDuT() && !s.UseDuT {
+		return errors.New("the plan contains dut-stall events but the topology has no DuT — set topology.dut: true")
+	}
+	return nil
 }
 
 // Scenario is one runnable traffic scenario. Implementations register

@@ -72,17 +72,16 @@ func (s Spec) ShardSpec(i, k int) Spec {
 	return out
 }
 
-// executeSharded runs sc once per modeled core on a multicore group —
+// executeSharded runs sc once per modeled core through multicore.Run —
 // independent engines on real goroutines, each against its own Env
 // testbed built on the shard's app — and merges the per-shard reports
 // in shard order. Shard 0 owns the streaming output; the other shards
 // run silently so the stream stays deterministic.
 func executeSharded(sc Scenario, spec Spec, out io.Writer) (*Report, error) {
-	spec = spec.withDefaults()
+	spec = spec.WithDefaults()
 	k := spec.Cores
-	g := multicore.NewGroup(k, spec.Seed)
 	reports := make([]*Report, k)
-	err := g.Each(func(s *multicore.Shard) error {
+	err := multicore.Run(k, spec.Seed, func(s *multicore.Shard) error {
 		shardOut := io.Discard
 		if s.ID == 0 {
 			shardOut = out

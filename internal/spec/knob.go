@@ -152,12 +152,17 @@ func (k *knob) set(s *scenario.Spec, v any) {
 	dst.Set(reflect.ValueOf(v).Convert(dst.Type()))
 }
 
-// flagText renders the knob's field of s in flag syntax.
+// flagText renders the knob's field of s in flag syntax; a zero field
+// renders empty, so its flag shows no default.
 func (k *knob) flagText(s scenario.Spec) string {
+	v := reflect.ValueOf(k.field(&s)).Elem()
+	if v.IsZero() {
+		return ""
+	}
 	if d, ok := k.field(&s).(*sim.Duration); ok {
 		return strconv.FormatFloat(d.Seconds()*1e3, 'g', -1, 64)
 	}
-	return fmt.Sprint(reflect.ValueOf(k.field(&s)).Elem())
+	return fmt.Sprint(v)
 }
 
 // flagValue holds a knob flag's text until ApplyFlags parses it.
@@ -178,10 +183,12 @@ func (v *flagValue) Set(s string) error { v.text = s; return nil }
 func (v *flagValue) IsBoolFlag() bool { return v.k.kind == boolKind }
 
 // RegisterFlags registers one flag per knob on fs, each showing the
-// value the document runs with when the flag is not set, and returns
-// the flag names in usage order.
+// value the document runs with when the flag is not set (after the
+// zero-means-default resolution of scenario.Spec.WithDefaults), and
+// returns the flag names in usage order.
 func (d *Document) RegisterFlags(fs *flag.FlagSet) []string {
 	_, s, _ := d.merge()
+	s = s.WithDefaults()
 	names := make([]string, len(knobs))
 	for i, k := range knobs {
 		fs.Var(&flagValue{k: k, text: k.flagText(s)}, k.flag, k.help)

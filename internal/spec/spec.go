@@ -197,10 +197,8 @@ func (d *Document) merge() (scenario.Scenario, scenario.Spec, error) {
 // the block's line, or to the scenario line when the block came from
 // the defaults.
 func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
-	if s.Cores > 1 {
-		if sco, ok := sc.(scenario.SingleCoreOnly); ok {
-			return d.errFor("cores", "scenario %q is single-core only (%s); remove cores or set it to 1", d.Scenario, sco.SingleCoreOnly())
-		}
+	if err := scenario.CheckCores(sc, s); err != nil {
+		return d.errFor("cores", "%v", err)
 	}
 
 	if s.Pattern != scenario.PatternLineRate && s.Pattern != "" && s.RateMpps <= 0 && !flowsCarryRate(s) {
@@ -243,39 +241,8 @@ func (d *Document) check(sc scenario.Scenario, s scenario.Spec) error {
 	// Fault plans are fail-closed at load time: a plan the injector
 	// would reject (or one whose targets the topology cannot provide)
 	// is a spec error with a line anchor, not a runtime surprise.
-	if len(s.Faults) > 0 {
-		if err := s.Faults.Validate(); err != nil {
-			return d.errAt(cmp.Or(d.faultsLine, d.scenarioLine), "faults: %v", err)
-		}
-		if s.Faults.RequiresDuT() && !s.UseDuT {
-			return d.errAt(cmp.Or(d.faultsLine, d.scenarioLine),
-				"faults: the plan contains dut-stall events but the topology has no DuT — set topology.dut: true")
-		}
-	}
-
-	// Flow-tracked scenarios state their model per global slot index
-	// with shard i of k owning slots j ≡ i (mod k); the partition is
-	// only flow-preserving when cores divides the flow population.
-	// Catching it here anchors the error to the spec line instead of
-	// failing later inside the run.
-	if s.Cores > 1 {
-		switch d.Scenario {
-		case "loss-overload", "reorder", "linkflap", "overload-recover":
-			n := len(s.EffectiveFlows())
-			if n%s.Cores != 0 {
-				return d.errFor("cores",
-					"%d does not divide the flow count (%d) for scenario %q — every flow must live wholly in one shard", s.Cores, n, d.Scenario)
-			}
-		case "churn":
-			w := s.ChurnFlows
-			if w <= 0 {
-				w = 1024
-			}
-			if w%s.Cores != 0 {
-				return d.errFor("cores",
-					"%d does not divide the churn working set (%d) — every flow must live wholly in one shard", s.Cores, w)
-			}
-		}
+	if err := scenario.CheckFaults(s); err != nil {
+		return d.errAt(cmp.Or(d.faultsLine, d.scenarioLine), "faults: %v", err)
 	}
 
 	seen := map[string]bool{}

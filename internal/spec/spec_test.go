@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -435,4 +436,52 @@ func mustParse(t *testing.T, src string) *Document {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// TestExecuteSharesSpecChecks: a library caller of scenario.Execute
+// gets the sharding and fault-plan errors in the words spec.Compile
+// uses, each exactly once — not once per shard.
+func TestExecuteSharesSpecChecks(t *testing.T) {
+	cases := []struct {
+		name, src, key string
+		edit           func(*scenario.Spec)
+	}{
+		{"loss-overload", "version: 1\nscenario: loss-overload\ncores: 3\n", "cores",
+			func(s *scenario.Spec) { s.Cores = 3 }},
+		{"churn", "version: 1\nscenario: churn\ncores: 3\n", "cores",
+			func(s *scenario.Spec) { s.Cores = 3 }},
+		{"imix", "version: 1\nscenario: imix\ncores: 2\n", "cores",
+			func(s *scenario.Spec) { s.Cores = 2 }},
+		{"linkflap", "version: 1\nscenario: linkflap\nfaults:\n  - kind: dut-stall\n    at: 1ms\n    duration: 1ms\n", "faults",
+			func(s *scenario.Spec) {
+				s.Faults = fault.Plan{{Kind: fault.DuTStall, At: sim.Millisecond, Duration: sim.Millisecond}}
+			}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, err := Parse([]byte(tc.src), "t.yaml")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _, cerr := d.Compile()
+			if cerr == nil {
+				t.Fatal("spec compiled")
+			}
+			_, msg, ok := strings.Cut(cerr.Error(), tc.key+": ")
+			if !ok {
+				t.Fatalf("spec error %q not anchored to %s", cerr, tc.key)
+			}
+			sc, _ := scenario.Get(tc.name)
+			s := sc.DefaultSpec()
+			s.Runtime = sim.Millisecond
+			tc.edit(&s)
+			_, xerr := scenario.Execute(tc.name, s, io.Discard)
+			if xerr == nil {
+				t.Fatal("Execute ran")
+			}
+			if n := strings.Count(xerr.Error(), msg); n != 1 {
+				t.Errorf("Execute error %q carries the spec message %q %d times, want once", xerr, msg, n)
+			}
+		})
+	}
 }
